@@ -16,7 +16,6 @@ from itertools import product
 
 from .graphs import GraphError
 from .ops import OpCounter
-from .ring import RingWeight
 from .walks import WalkPair, WeightedDigraph, as_pair, union_in_degrees
 
 
@@ -57,7 +56,7 @@ class PathTable:
     kind: str  # "low" or "high"
     r: int
     threshold: int
-    entries: dict[tuple[int, int], RingWeight]
+    entries: dict[tuple[int, int], int]
     signature: DegreeSignature | None = None
 
 
@@ -71,7 +70,7 @@ def _weight_sides(pair: WalkPair, reverse: bool) -> tuple[WeightedDigraph, Weigh
 def _cherry_adjacency(
     wl: WeightedDigraph, wa: WeightedDigraph, ops: OpCounter | None
 ) -> tuple[
-    dict[tuple[int, int], RingWeight], dict[int, list[tuple[int, RingWeight]]]
+    dict[tuple[int, int], int], dict[int, list[tuple[int, int]]]
 ]:
     """Single-source two-sink path weights, as a table and partner lists.
 
@@ -79,7 +78,7 @@ def _cherry_adjacency(
     with a nonzero aggregate, which is what both table extensions consume:
     one extension step is a join against these lists.
     """
-    table: dict[tuple[int, int], RingWeight] = {}
+    table: dict[tuple[int, int], int] = {}
     for z in range(wl.vertex_count):
         against_out = wa.out_items(z)
         along_out = wl.out_items(z)
@@ -91,7 +90,7 @@ def _cherry_adjacency(
                 val = wax * wly
                 got = table.get(key)
                 table[key] = val if got is None else got + val
-    partners: dict[int, list[tuple[int, RingWeight]]] = {}
+    partners: dict[int, list[tuple[int, int]]] = {}
     for (v, y), weight in table.items():
         partners.setdefault(v, []).append((y, weight))
     return table, partners
@@ -105,7 +104,7 @@ def _low_tables(
     reverse: bool,
     ops: OpCounter | None = None,
     cherries=None,
-) -> dict[int, dict[tuple[int, int], RingWeight]]:
+) -> dict[int, dict[tuple[int, int], int]]:
     """Low path tables for r = 1..r_max in one traversal direction.
 
     Interior sinks are restricted to in-degree <= delta; the two endpoint
@@ -115,9 +114,9 @@ def _low_tables(
     if cherries is None:
         cherries = _cherry_adjacency(wl, wa, ops)
     base, partners = cherries
-    tables: dict[int, dict[tuple[int, int], RingWeight]] = {1: base}
+    tables: dict[int, dict[tuple[int, int], int]] = {1: base}
     for r in range(2, r_max + 1):
-        nxt: dict[tuple[int, int], RingWeight] = {}
+        nxt: dict[tuple[int, int], int] = {}
         for (x, v), wt in tables[r - 1].items():
             if indeg[v] > delta:
                 continue
@@ -143,7 +142,7 @@ def _high_tables(
     reverse: bool,
     ops: OpCounter | None = None,
     cherries=None,
-) -> dict[int, dict[tuple[bool, ...], dict[tuple[int, int], RingWeight]]]:
+) -> dict[int, dict[tuple[bool, ...], dict[tuple[int, int], int]]]:
     """High path tables for r = 1..r_max, keyed by sink signature.
 
     Every stored pair (x, y) has in-degree(x) > delta; the signature pins
@@ -153,7 +152,7 @@ def _high_tables(
     if cherries is None:
         cherries = _cherry_adjacency(wl, wa, ops)
     cherry_table, partners = cherries
-    base: dict[tuple[bool, ...], dict[tuple[int, int], RingWeight]] = {}
+    base: dict[tuple[bool, ...], dict[tuple[int, int], int]] = {}
     for (x, y), weight in cherry_table.items():
         if indeg[x] <= delta:
             continue
@@ -164,7 +163,7 @@ def _high_tables(
             ops.add()
     levels = {1: base}
     for r in range(2, r_max + 1):
-        nxt_level: dict[tuple[bool, ...], dict[tuple[int, int], RingWeight]] = {}
+        nxt_level: dict[tuple[bool, ...], dict[tuple[int, int], int]] = {}
         tabs_by_sig: dict[tuple[tuple[bool, ...], bool], dict] = {}
         for sig, prev in levels[r - 1].items():
             for (x, v), wt in prev.items():
@@ -225,21 +224,21 @@ def path_table_high(
 
 
 def _join(
-    t1: dict[tuple[int, int], RingWeight],
-    t2: dict[tuple[int, int], RingWeight],
+    t1: dict[tuple[int, int], int],
+    t2: dict[tuple[int, int], int],
     ops: OpCounter | None,
     endpoint_filter=None,
-) -> RingWeight:
+) -> int:
     if len(t2) < len(t1):
         t1, t2 = t2, t1
-    total: RingWeight = 0
+    total = 0
     for key, w1 in t1.items():
         w2 = t2.get(key)
         if w2 is None:
             continue
         if endpoint_filter is not None and not endpoint_filter(key):
             continue
-        total = w1 * w2 + total
+        total += w1 * w2
         if ops:
             ops.add()
     return total
@@ -250,7 +249,7 @@ def hom_alt_cycle_comb(
     half_length: int,
     delta: int | None = None,
     ops: OpCounter | None = None,
-) -> RingWeight:
+) -> int:
     """Total weight of homomorphisms from the alternating 2l-cycle.
 
     ``half_length`` is l, the number of sources (= sinks).  The threshold
@@ -287,7 +286,7 @@ def hom_alt_cycle_comb(
         x, y = key
         return indeg[x] <= delta and indeg[y] <= delta
 
-    total: RingWeight = _join(low_cw[a], low_ccw[b], ops, low_endpoints)
+    total = _join(low_cw[a], low_ccw[b], ops, low_endpoints)
 
     high_a = high_cw[a]
     high_b = high_ccw[b]
@@ -303,7 +302,7 @@ def hom_alt_cycle_comb(
         t_ccw = high_b.get(sig_ccw)
         if not t_ccw:
             continue
-        total = total + _join(t_cw, t_ccw, ops)
+        total += _join(t_cw, t_ccw, ops)
     return total
 
 

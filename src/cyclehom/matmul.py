@@ -15,13 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .comb import _cherry_adjacency
 from .graphs import GraphError
 from .ops import OpCounter
-from .ring import RingWeight
 from .walks import WalkPair, WeightedDigraph, as_pair, union_in_degrees
+
+if TYPE_CHECKING:
+    import numpy as np  # imported on use: only the cost model needs it
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class EvaluationPlan:
 class CherryTable:
     """Sparse (x, y) -> weight table of common-in-neighbor products."""
 
-    entries: dict[tuple[int, int], RingWeight]
+    entries: dict[tuple[int, int], int]
 
 
 def build_cherry_table(
@@ -62,22 +64,10 @@ def build_cherry_table(
     """Aggregate w(z, x) * w(z, y) over every common in-neighbor z.
 
     One pass over vertices and out-neighbor pairs; with bounded out-degrees
-    the table has O(n) nonzero entries.
+    the table has O(n) nonzero entries.  The comb engine's cherry builder.
     """
     pair = as_pair(w)
-    entries: dict[tuple[int, int], RingWeight] = {}
-    for z in range(pair.vertex_count):
-        against_out = pair.against.out_items(z)
-        along_out = pair.along.out_items(z)
-        if ops:
-            ops.add(len(against_out) * len(along_out))
-        for x, wax in against_out:
-            for y, wly in along_out:
-                key = (x, y)
-                val = wax * wly
-                got = entries.get(key)
-                entries[key] = val if got is None else got + val
-    return CherryTable(entries=entries)
+    return CherryTable(entries=_cherry_adjacency(pair.along, pair.against, ops)[0])
 
 
 def plan_matrix_chain(
@@ -153,6 +143,8 @@ def _cached_plan(d: tuple[Fraction, ...], k: int, cp: CostParams) -> EvaluationP
 
 def _vector_objective(coords: list[np.ndarray], k: int, omega: float) -> np.ndarray:
     """Vectorized chain objective over a batch of exponent tuples."""
+    import numpy as np
+
     one_minus = [1.0 - c for c in coords]
     exps: dict[tuple[int, int], np.ndarray] = {}
     ones = np.ones_like(coords[0])
@@ -195,6 +187,8 @@ def cost_model_ck(
     of the tuple, which loses nothing by rotation invariance, and raises if
     the pruned grid still exceeds the evaluation budget.
     """
+    import numpy as np
+
     if k < 2:
         raise GraphError("cost model needs k >= 2")
     step = Fraction(cp.grid_step)
@@ -254,7 +248,7 @@ def hom_alt_cycle_matmul(
     cp: CostParams | None = None,
     ops: OpCounter | None = None,
     planner=None,
-) -> RingWeight:
+) -> int:
     """Total weight of homomorphisms from the alternating 2k-cycle.
 
     Classifies sink images by in-degree class, and for each class tuple
@@ -283,9 +277,9 @@ def hom_alt_cycle_matmul(
 
     # cherry entries partitioned by endpoint classes, plus one-step partner
     # lists in both directions for the sparse extension steps
-    parts: dict[tuple[int, int], dict[tuple[int, int], RingWeight]] = {}
-    right_partners: dict[int, dict[int, list[tuple[int, RingWeight]]]] = {}
-    left_partners: dict[int, dict[int, list[tuple[int, RingWeight]]]] = {}
+    parts: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    right_partners: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    left_partners: dict[int, dict[int, list[tuple[int, int]]]] = {}
     for (x, y), weight in cherry.items():
         cx, cy = cls_of[x], cls_of[y]
         parts.setdefault((cx, cy), {})[(x, y)] = weight
@@ -302,10 +296,10 @@ def hom_alt_cycle_matmul(
         c: {v: i for i, v in enumerate(verts)} for c, verts in classes.items()
     }
 
-    def execute(f: tuple[int, ...], plan: EvaluationPlan) -> RingWeight:
-        memo: dict[tuple[int, int], dict[tuple[int, int], RingWeight]] = {}
+    def execute(f: tuple[int, ...], plan: EvaluationPlan) -> int:
+        memo: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
-        def chain(i: int, j: int) -> dict[tuple[int, int], RingWeight]:
+        def chain(i: int, j: int) -> dict[tuple[int, int], int]:
             got = memo.get((i, j))
             if got is not None:
                 return got
@@ -366,16 +360,16 @@ def hom_alt_cycle_matmul(
         if len(first) > len(second):
             first, second = second, first
             # trace(AB) = trace(BA); swapping just iterates the smaller table
-        total: RingWeight = 0
+        total = 0
         for (x, y), wt in first.items():
             other = second.get((y, x))
             if other is not None:
-                total = total + wt * other
+                total += wt * other
                 if ops:
                     ops.add()
         return total
 
-    total: RingWeight = 0
+    total = 0
 
     def tuples(prefix: list[int]) -> None:
         nonlocal total
@@ -388,7 +382,7 @@ def hom_alt_cycle_matmul(
                 plan = _cached_plan(d, k, cp)
             else:
                 plan = planner(d, k, cp)
-            total = total + execute(f, plan)
+            total += execute(f, plan)
             return
         options = transitions.get(prefix[-1], []) if prefix else sorted(classes)
         for c in options:
@@ -401,8 +395,8 @@ def hom_alt_cycle_matmul(
 
 
 def _dense_product(
-    left: dict[tuple[int, int], RingWeight],
-    mid_right: dict[tuple[int, int], RingWeight],
+    left: dict[tuple[int, int], int],
+    mid_right: dict[tuple[int, int], int],
     rows: list[int],
     row_pos: dict[int, int],
     mids: list[int],
@@ -410,16 +404,16 @@ def _dense_product(
     cols: list[int],
     col_pos: dict[int, int],
     ops: OpCounter | None,
-) -> dict[tuple[int, int], RingWeight]:
+) -> dict[tuple[int, int], int]:
     """Classical dense multiply of two sparse-stored chain segments."""
     nr, nm, nc = len(rows), len(mids), len(cols)
-    a: list[list[RingWeight]] = [[0] * nm for _ in range(nr)]
+    a: list[list[int]] = [[0] * nm for _ in range(nr)]
     for (x, y), wt in left.items():
         a[row_pos[x]][mid_pos[y]] = wt
-    b: list[list[RingWeight]] = [[0] * nc for _ in range(nm)]
+    b: list[list[int]] = [[0] * nc for _ in range(nm)]
     for (x, y), wt in mid_right.items():
         b[mid_pos[x]][col_pos[y]] = wt
-    out: list[list[RingWeight]] = [[0] * nc for _ in range(nr)]
+    out: list[list[int]] = [[0] * nc for _ in range(nr)]
     for ri in range(nr):
         arow = a[ri]
         orow = out[ri]
@@ -431,10 +425,10 @@ def _dense_product(
             for ci in range(nc):
                 bv = brow[ci]
                 if bv:
-                    orow[ci] = orow[ci] + av * bv
+                    orow[ci] += av * bv
                     if ops:
                         ops.add()
-    result: dict[tuple[int, int], RingWeight] = {}
+    result: dict[tuple[int, int], int] = {}
     for ri, x in enumerate(rows):
         orow = out[ri]
         for ci, y in enumerate(cols):

@@ -32,14 +32,8 @@ from .graphs import (
 )
 from .matmul import CostParams, cost_model_ck, hom_alt_cycle_matmul
 from .ops import OpCounter
-from .ring import ring_coefficient
-from .walks import (
-    AGGREGATE,
-    POLYNOMIAL,
-    WalkPair,
-    build_walk_weights,
-    restrict_view,
-)
+from .ring import coefficient
+from .walks import POLYNOMIAL, WalkPair, build_walk_weights, restrict_view
 
 ENGINES = ("comb", "matmul", "auto")
 
@@ -52,7 +46,15 @@ _AUTO_CACHE: dict[tuple[int, Fraction], str] = {}
 
 
 def _engine_for(p: int, cp: CostParams) -> str:
-    """The engine the cost model favors for the alternating 2p-cycle."""
+    """The engine the cost model favors for the alternating 2p-cycle.
+
+    At omega = 3 a dense product costs its classical exponent, and the
+    model's c_p is at least comb's 2 - 1/ceil(p/2) at every p it can
+    evaluate (p = 2..6), so the grid search is skipped: at p = 6 it takes
+    about 26 s, and from p = 7 on it exceeds its point budget.
+    """
+    if cp.omega == 3:
+        return "comb"
     key = (p, cp.omega)
     got = _AUTO_CACHE.get(key)
     if got is None:
@@ -64,9 +66,11 @@ def _engine_for(p: int, cp: CostParams) -> str:
     return got
 
 
-def _oriented_pair(g: Graph | Digraph, horizon: int):
+def _oriented_pair(g: Graph | Digraph, length: int):
     """Degeneracy-orient the input and build full-horizon walk weights.
 
+    The weights hold walks of length up to ``length - 1``, packed at the
+    slot width that keeps z**length coefficients of cycle counts exact.
     Undirected graphs yield one weight structure used on both sides;
     digraphs split their arcs into ascending and descending DAGs first.
     Returns (pair, degeneracy).
@@ -74,13 +78,13 @@ def _oriented_pair(g: Graph | Digraph, horizon: int):
     if isinstance(g, Graph) and not g.directed:
         ordering = degeneracy_ordering(g)
         dag = orient_acyclic(g, ordering)
-        w = build_walk_weights(dag, horizon, AGGREGATE)
+        w = build_walk_weights(dag, length - 1, POLYNOMIAL, trunc=length)
         return WalkPair(along=w, against=w), ordering.degeneracy
     d = g.to_digraph() if isinstance(g, Graph) else g
     ordering = degeneracy_ordering(d.underlying_graph())
     ascending, descending = split_by_ordering(d, ordering)
-    along = build_walk_weights(ascending, horizon, AGGREGATE)
-    against = build_walk_weights(descending, horizon, AGGREGATE)
+    along = build_walk_weights(ascending, length - 1, POLYNOMIAL, trunc=length)
+    against = build_walk_weights(descending, length - 1, POLYNOMIAL, trunc=length)
     return WalkPair(along=along, against=against), ordering.degeneracy
 
 
@@ -96,8 +100,7 @@ def hom_cycle_degenerate(
 
     ``engine`` picks how alternating-cycle counts are computed: "comb" for
     the path-table engine, "matmul" for the matrix-chain engine, or "auto"
-    to follow the cost model (with classical-multiplication omega = 3 the
-    model always selects "comb").
+    to follow the cost model ("comb" at the default omega = 3).
     """
     if length < 3:
         raise GraphError("cycle length must be >= 3")
@@ -108,7 +111,7 @@ def hom_cycle_degenerate(
     if g.vertex_count == 0:
         return 0
 
-    pair, _ = _oriented_pair(g, horizon=length - 1)
+    pair, _ = _oriented_pair(g, length)
     total = 0
     for p in range(1, length // 2 + 1):
         s_p = _base_count(pair, p, length, engine, cp, ops, cross_check)
@@ -144,22 +147,13 @@ def _base_count(
         return total
 
     max_run = length - (2 * p - 1)
-    if max_run == 1:
-        along = restrict_view(pair.along, 1, AGGREGATE)
-        against = along if pair.against is pair.along else restrict_view(
-            pair.against, 1, AGGREGATE
-        )
-        view = WalkPair(along=along, against=against)
-        result = _run_engine(view, p, engine, cp, ops)
-        return result if isinstance(result, int) else result.at_one()
-
     along = restrict_view(pair.along, max_run, POLYNOMIAL, trunc=length)
     against = along if pair.against is pair.along else restrict_view(
         pair.against, max_run, POLYNOMIAL, trunc=length
     )
     view = WalkPair(along=along, against=against)
     result = _run_engine(view, p, engine, cp, ops)
-    return ring_coefficient(result, length)
+    return coefficient(result, length, along.width)
 
 
 def _run_engine(view: WalkPair, p: int, engine: str, cp: CostParams, ops):

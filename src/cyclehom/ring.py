@@ -1,12 +1,21 @@
-"""Commutative ring weights: exact integers and degree-truncated polynomials.
+"""Packed walk weights: a polynomial with nonnegative coefficients as one int.
 
-Plain Python ints serve as the exact-integer ring.  TruncatedPolynomial is
-Z[z] with every term of degree greater than the truncation bound discarded
-on multiplication.  Mixed int/polynomial arithmetic works in both orders, so
-accumulators can start at the int 0 regardless of the ring in use.
+Every walk weight and table entry of the degenerate pipeline is a
+polynomial sum c_i z**i with c_i >= 0.  Evaluating it at z = 2**width
+(Kronecker substitution) stores it as the single int sum c_i 2**(width*i):
+multiplication and addition are plain int arithmetic.  Carries only move
+upward, and the low slots of a product depend only on the low slots of its
+factors, so slot d of a result is exactly c_d as long as c_0..c_d of that
+result fit in ``width`` bits; slots above d may overflow freely.  Width 0
+is evaluation at z = 1: the plain sum of the coefficients.
+
+TruncatedPolynomial (Z[z] with terms above a bound dropped on multiply) is
+the earlier coefficient-tuple representation.  No engine uses it.
 """
 
 from __future__ import annotations
+
+from .graphs import GraphError
 
 
 class TruncatedPolynomial:
@@ -142,3 +151,34 @@ def ring_at_one(value: RingWeight) -> int:
     if isinstance(value, int):
         return value
     return value.at_one()
+
+
+def slot_width(n: int, length: int) -> int:
+    """Bits per slot for exact z**length coefficients over n vertices.
+
+    Slot i <= length of a cycle count adds up closed walks of length i
+    (at most n**(i + 1) vertex sequences) times a choice of break points
+    (at most 2**i), so it is below 2**width with this width.
+    """
+    return (length + 1) * n.bit_length() + length + 1
+
+
+def pack(count: int, degree: int, width: int) -> int:
+    """The term count * z**degree evaluated at z = 2**width.
+
+    Raises GraphError if a count does not fit its slot, which would carry
+    into the next slot and corrupt every coefficient read from there on.
+    """
+    if count < 0 or (width and count >> width):
+        raise GraphError(f"walk count {count} does not fit a {width}-bit slot")
+    return count << (width * degree)
+
+
+def slot_mask(degree: int, width: int) -> int:
+    """Mask keeping slots 0..degree of a packed value."""
+    return (1 << (width * (degree + 1))) - 1
+
+
+def coefficient(value: int, degree: int, width: int) -> int:
+    """The z**degree coefficient of a packed value."""
+    return (value >> (width * degree)) & ((1 << width) - 1)

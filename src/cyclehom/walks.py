@@ -2,10 +2,11 @@
 
 From a DAG this builds, for every ordered pair (x, y) and every length
 1 <= l <= horizon, the exact number of directed x->y walks with l edges,
-plus a ring-valued view of the pair weights: either the plain sum over
-lengths, or the polynomial whose z**l coefficient is the l-walk count.
-The polynomial view is what lets the cycle engines separate contributions
-by total walk length.
+plus one int weight per pair: the walk-count polynomial sum_l count_l z**l
+evaluated at z = 2**width (see ``ring``).  The POLYNOMIAL view packs each
+count into its own ``width``-bit slot, which is what lets the cycle engines
+separate contributions by total walk length; the AGGREGATE view is width 0,
+the plain sum over lengths.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Digraph, GraphError
-from .ring import RingWeight, TruncatedPolynomial
+from .ring import pack, slot_mask, slot_width
 
 AGGREGATE = "aggregate"
 POLYNOMIAL = "polynomial"
@@ -21,25 +22,54 @@ POLYNOMIAL = "polynomial"
 
 @dataclass(frozen=True)
 class WeightedDigraph:
-    """A digraph whose arcs carry per-length walk counts and a ring weight.
+    """A digraph whose arcs carry per-length walk counts and a packed weight.
 
     ``per_length[(x, y, l)]`` is the number of l-edge walks from x to y in
-    the source DAG; ``ring_view[(x, y)]`` aggregates those counts per the
-    chosen view.  ``digraph`` is the support: the arc (x, y) exists exactly
-    when the ring weight is nonzero.
+    the source DAG; ``ring_view[(x, y)]`` is sum_l per_length[(x, y, l)] *
+    2**(width * l) over the lengths the view keeps.  ``digraph`` is the
+    support: the arc (x, y) exists exactly when the weight is nonzero.
     """
 
     digraph: Digraph
     horizon: int
     per_length: dict[tuple[int, int, int], int] = field(compare=False)
-    ring_view: dict[tuple[int, int], RingWeight] = field(compare=False)
+    ring_view: dict[tuple[int, int], int] = field(compare=False)
+    width: int = 0
 
     @property
     def vertex_count(self) -> int:
         return self.digraph.vertex_count
 
-    def out_items(self, x: int) -> list[tuple[int, RingWeight]]:
+    def out_items(self, x: int) -> list[tuple[int, int]]:
         return [(y, self.ring_view[(x, y)]) for y in self.digraph.out_adjacency[x]]
+
+
+def _view(view: str, n: int, horizon: int, trunc: int) -> tuple[int, int]:
+    """(slot width, longest walk kept) of a view."""
+    if view == AGGREGATE:
+        return 0, horizon
+    if view == POLYNOMIAL:
+        return slot_width(n, trunc), min(horizon, trunc)
+    raise GraphError(f"unknown view {view!r}")
+
+
+def _packed(per_length: dict, top: int, width: int) -> dict[tuple[int, int], int]:
+    """Pack the counts of walks no longer than ``top`` into one int per pair."""
+    ring_view: dict[tuple[int, int], int] = {}
+    for (x, y, step), count in per_length.items():
+        if step <= top:
+            key = (x, y)
+            ring_view[key] = ring_view.get(key, 0) + pack(count, step, width)
+    return ring_view
+
+
+def _weighted(
+    n: int, horizon: int, per_length: dict, ring_view: dict, width: int
+) -> WeightedDigraph:
+    return WeightedDigraph(
+        digraph=Digraph.from_arcs(n, list(ring_view)), horizon=horizon,
+        per_length=per_length, ring_view=ring_view, width=width,
+    )
 
 
 def build_walk_weights(
@@ -50,20 +80,20 @@ def build_walk_weights(
 ) -> WeightedDigraph:
     """Count all walks of length up to ``horizon`` between every pair.
 
-    ``view`` selects the ring weight per pair: AGGREGATE sums the counts,
-    POLYNOMIAL forms sum_l count_l * z**l truncated at ``trunc`` (defaults
-    to the horizon).  Requires a DAG; runs one forward sweep per source, so
-    time and output size are n * max_out_degree**horizon in the worst case.
+    ``view`` selects the weight per pair: AGGREGATE sums the counts,
+    POLYNOMIAL packs count_l into slot l, dropping lengths above ``trunc``
+    (defaults to the horizon), at the slot width that keeps coefficients up
+    to z**trunc of cycle counts exact.  Requires a DAG; runs one forward
+    sweep per source, so time and output size are n * max_out_degree**horizon
+    in the worst case.
     """
     if horizon < 1:
         raise GraphError("walk horizon must be >= 1")
     if not d.is_dag:
         raise GraphError("walk weights require an acyclic digraph")
-    if trunc is None:
-        trunc = horizon
-    per_length: dict[tuple[int, int, int], int] = {}
-    pair_counts: dict[tuple[int, int], list[tuple[int, int]]] = {}
     n = d.vertex_count
+    width, top = _view(view, n, horizon, horizon if trunc is None else trunc)
+    per_length: dict[tuple[int, int, int], int] = {}
     for x in range(n):
         frontier = {x: 1}
         for step in range(1, horizon + 1):
@@ -73,70 +103,33 @@ def build_walk_weights(
                     nxt[v] = nxt.get(v, 0) + cnt
             if not nxt:
                 break
-            for y in sorted(nxt):
-                per_length[(x, y, step)] = nxt[y]
-                pair_counts.setdefault((x, y), []).append((step, nxt[y]))
+            for y, cnt in nxt.items():
+                per_length[(x, y, step)] = cnt
             frontier = nxt
-
-    ring_view: dict[tuple[int, int], RingWeight] = {}
-    for (x, y), items in pair_counts.items():
-        if view == AGGREGATE:
-            ring_view[(x, y)] = sum(c for _, c in items)
-        elif view == POLYNOMIAL:
-            coeffs = [0] * (trunc + 1)
-            dropped = True
-            for step, c in items:
-                if step <= trunc:
-                    coeffs[step] = c
-                    dropped = False
-            if dropped:
-                continue
-            ring_view[(x, y)] = TruncatedPolynomial(coeffs, trunc)
-        else:
-            raise GraphError(f"unknown view {view!r}")
-
-    support = Digraph.from_arcs(n, sorted(ring_view.keys()))
-    return WeightedDigraph(
-        digraph=support, horizon=horizon, per_length=per_length, ring_view=ring_view
-    )
+    return _weighted(n, horizon, per_length, _packed(per_length, top, width), width)
 
 
 def restrict_view(
     w: WeightedDigraph, max_length: int, view: str, trunc: int | None = None
 ) -> WeightedDigraph:
-    """Rebuild the ring view keeping only walks of length <= ``max_length``.
+    """The weights of walks of length <= ``max_length`` only.
 
     Used by the cycle pipeline to derive, from one full walk-count pass, the
     per-base-size views whose arc weights never exceed the length any single
-    subdivision path can attain.
+    subdivision path can attain.  When ``w`` is already packed at the
+    view's width this is one slot mask per weight; otherwise the weights are
+    repacked from the per-length counts.  ``per_length`` is shared with
+    ``w``: it keeps the counts up to the source horizon.
     """
-    if trunc is None:
-        trunc = max_length
-    pair_counts: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    per_length: dict[tuple[int, int, int], int] = {}
-    for (x, y, step), cnt in w.per_length.items():
-        if step <= max_length:
-            pair_counts.setdefault((x, y), []).append((step, cnt))
-            per_length[(x, y, step)] = cnt
-    ring_view: dict[tuple[int, int], RingWeight] = {}
-    for (x, y), items in sorted(pair_counts.items()):
-        if view == AGGREGATE:
-            ring_view[(x, y)] = sum(c for _, c in items)
-        else:
-            coeffs = [0] * (trunc + 1)
-            for step, c in items:
-                if step <= trunc:
-                    coeffs[step] = c
-            p = TruncatedPolynomial(coeffs, trunc)
-            if p:
-                ring_view[(x, y)] = p
-    support = Digraph.from_arcs(w.vertex_count, sorted(ring_view.keys()))
-    return WeightedDigraph(
-        digraph=support,
-        horizon=min(w.horizon, max_length),
-        per_length=per_length,
-        ring_view=ring_view,
-    )
+    n = w.vertex_count
+    horizon = min(w.horizon, max_length)
+    width, top = _view(view, n, horizon, max_length if trunc is None else trunc)
+    if width and width == w.width:
+        keep = slot_mask(top, width)
+        ring_view = {key: m for key, value in w.ring_view.items() if (m := value & keep)}
+    else:
+        ring_view = _packed(w.per_length, top, width)
+    return _weighted(n, horizon, w.per_length, ring_view, width)
 
 
 @dataclass(frozen=True)

@@ -159,3 +159,20 @@ def test_detect_worker_processes(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert report["found"] is True
     assert report["workers"] == 2
+
+
+def test_cli_import_leaves_numpy_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cyclehom
+
+    src = str(Path(cyclehom.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, cyclehom.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"

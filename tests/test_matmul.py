@@ -222,3 +222,10 @@ def test_class_size_bound():
         m = d.arc_count()
         for c, verts in in_degree_classes(w).items():
             assert len(verts) <= max(1, 2 * m // (2**c))
+
+
+def test_cost_model_picks_comb_at_omega_3():
+    # the fact the auto planner relies on to skip the grid at omega = 3
+    for k in (2, 3, 4, 5):
+        val, _ = cost_model_ck(k, CostParams(grid_step=Fraction(1, 20)))
+        assert val >= Fraction(2) - Fraction(1, (k + 1) // 2)

@@ -120,3 +120,9 @@ def test_engine_invariance_larger():
             assert hom_cycle_degenerate(g, ell, engine="comb") == hom_cycle_degenerate(
                 g, ell, engine="matmul"
             )
+
+
+def test_default_engine_long_cycle():
+    # the auto planner must not run the cost-model grid at omega = 3,
+    # which exceeds its point budget from base size 7 (length 14) on
+    assert hom_cycle_degenerate(K3, 14) == 2**14 + 2
