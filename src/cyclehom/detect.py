@@ -12,13 +12,13 @@ skips the gadget and counts transversals of the consistent subgraph itself.
 
 from __future__ import annotations
 
-import math
 import random
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Digraph, Graph, GraphError, degeneracy_ordering
+from .general import default_repetitions
+from .graphs import Digraph, Graph, GraphError, cycle_core, degeneracy_ordering
 from .pipeline import EngineError, hom_cycle_degenerate
 
 
@@ -69,39 +69,26 @@ class GadgetInstance:
 
 
 def _induced_subgraph(
-    pg: PartitionedGraph, keep: tuple[int, ...]
+    pg: PartitionedGraph, keep: tuple[int, ...], edges: list[tuple[int, int, int]]
 ) -> Graph | Digraph | None:
-    """Induced subgraph on the union of the kept parts, vertices relabeled."""
-    verts: list[int] = []
-    for i in keep:
-        verts.extend(pg.parts[i])
-    if not verts:
-        return None
-    index = {v: i for i, v in enumerate(sorted(verts))}
-    g = pg.graph
-    if isinstance(g, Digraph):
-        arcs = [
-            (index[u], index[v])
-            for u, v in g.arcs()
-            if u in index and v in index
-        ]
-        return Digraph.from_arcs(len(index), arcs)
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges()
-        if u in index and v in index
+    """The kept parts' share of ``edges``, each (u, v, mask of its parts).
+
+    Only vertices with a kept edge are kept, relabeled densely: an
+    isolated vertex adds nothing to a cycle-homomorphism count.  None when
+    no edge is kept.
+    """
+    keep_mask = sum(1 << i for i in keep)
+    index: dict[int, int] = {}
+    pairs = [
+        (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+        for u, v, mask in edges
+        if mask & keep_mask == mask
     ]
-    adj: list[list[int]] = [[] for _ in range(len(index))]
-    for u, v in edges:
-        adj[u].append(v)
-        if not g.directed:
-            adj[v].append(u)
-    return Graph(
-        vertex_count=len(index),
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
-        directed=g.directed,
-        edge_count=len(edges),
-    )
+    if not pairs:
+        return None
+    if isinstance(pg.graph, Digraph):
+        return Digraph.from_arcs(len(index), pairs)
+    return Graph.from_edges(len(index), pairs, pg.graph.directed)
 
 
 def transversal_count(
@@ -110,26 +97,40 @@ def transversal_count(
     """Count cycle transversals by inclusion-exclusion over part subsets.
 
     ``hom_engine(graph, p)`` must return hom(C_p, graph) exactly; it
-    defaults to the degenerate-graph pipeline.  The homomorphism-level
-    total is divisible by 2p (p in the directed case), one orbit per
-    transversal cycle; a failed division means the engine is broken.
+    defaults to the degenerate-graph pipeline.  A transversal uses no edge
+    inside a part and only vertices on cycles of what remains, so every
+    term is counted on that cycle core (``graphs.cycle_core``), and no term
+    at all when the core misses a part.  The homomorphism-level total is
+    divisible by 2p (p in the directed case), one orbit per transversal
+    cycle; a failed division means the engine is broken.
     """
     if hom_engine is None:
         hom_engine = hom_cycle_degenerate
+    g = pg.graph
     p = pg.part_count
+    part_of = [0] * g.vertex_count
+    for i, part in enumerate(pg.parts):
+        for v in part:
+            part_of[v] = i
+    pairs = g.arcs() if isinstance(g, Digraph) else g.edges()
+    core = cycle_core(
+        g.vertex_count,
+        [(u, v) for u, v in pairs if part_of[u] != part_of[v]],
+        pg.directed(),
+    )
+    edges = [(u, v, 1 << part_of[u] | 1 << part_of[v]) for u, v in core]
+    covered = 0
+    for _, _, mask in edges:
+        covered |= mask
+    if covered != (1 << p) - 1:
+        return TransversalCount(hom_transversals=0, cycle_transversals=0)
     total = 0
     for size in range(1, p + 1):
         sign = -1 if (p - size) % 2 else 1
         for keep in combinations(range(p), size):
-            sub = _induced_subgraph(pg, keep)
-            if sub is None:
-                continue
-            edge_count = (
-                sub.arc_count() if isinstance(sub, Digraph) else sub.edge_count
-            )
-            if edge_count == 0:
-                continue
-            total += sign * hom_engine(sub, p)
+            sub = _induced_subgraph(pg, keep, edges)
+            if sub is not None:
+                total += sign * hom_engine(sub, p)
     orbit = p if pg.directed() else 2 * p
     if total % orbit:
         raise EngineError(
@@ -188,16 +189,7 @@ def build_detection_gadget(
         for slot, z in enumerate(chain):
             arc_class_members[i][slot].append(z)
 
-    adj: list[list[int]] = [[] for _ in range(next_id)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    gadget_graph = Graph(
-        vertex_count=next_id,
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
-        directed=False,
-        edge_count=len(edges),
-    )
+    gadget_graph = Graph.from_edges(next_id, edges)
     parts: list[tuple[int, ...]] = []
     for i in range(k):
         parts.append(tuple(partition[i]))
@@ -205,10 +197,6 @@ def build_detection_gadget(
             parts.append(tuple(slot_members))
     pg = PartitionedGraph(graph=gadget_graph, parts=tuple(parts))
     return GadgetInstance(partitioned=pg, subdivision_vertices=subdivision)
-
-
-def default_repetitions(k: int, delta: float = 0.05) -> int:
-    return max(1, math.ceil(k**k * math.log(1.0 / delta)))
 
 
 def detect_directed_cycle(
@@ -265,9 +253,8 @@ def detect_cycle_degenerate(
     if k < 6:
         return _find_short_cycle(g, k)
     directed = isinstance(g, Digraph) or g.directed
-    und = g.underlying_graph() if isinstance(g, Digraph) else g
     if not directed:
-        deg_ord = degeneracy_ordering(und)
+        deg_ord = degeneracy_ordering(g)
         if deg_ord.degeneracy > degeneracy_warning:
             warnings.warn(
                 f"input degeneracy {deg_ord.degeneracy} is large; "
@@ -278,6 +265,10 @@ def detect_cycle_degenerate(
         reps = default_repetitions(k, delta)
     rng = random.Random(seed)
     n = g.vertex_count
+    if directed:
+        pairs = (g if isinstance(g, Digraph) else g.to_digraph()).arcs()
+    else:
+        pairs = g.edges()
     for _ in range(reps):
         partition = _random_partition(rng, n, k)
         if any(not part for part in partition):
@@ -287,31 +278,12 @@ def detect_cycle_degenerate(
             for v in part:
                 cls[v] = i
         if directed:
-            d = g if isinstance(g, Digraph) else g.to_digraph()
-            arcs = [
-                (u, v) for u, v in d.arcs() if cls[v] == (cls[u] + 1) % k
-            ]
-            consistent: Graph | Digraph = Digraph.from_arcs(n, arcs)
-            if not arcs:
-                continue
+            kept = [(u, v) for u, v in pairs if cls[v] == (cls[u] + 1) % k]
         else:
-            edges = [
-                (u, v)
-                for u, v in g.edges()
-                if (cls[v] - cls[u]) % k in (1, k - 1)
-            ]
-            if not edges:
-                continue
-            adj: list[list[int]] = [[] for _ in range(n)]
-            for u, v in edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            consistent = Graph(
-                vertex_count=n,
-                adjacency=tuple(tuple(sorted(a)) for a in adj),
-                directed=False,
-                edge_count=len(edges),
-            )
+            kept = [(u, v) for u, v in pairs if (cls[v] - cls[u]) % k in (1, k - 1)]
+        if not kept:
+            continue
+        consistent = Digraph.from_arcs(n, kept) if directed else Graph.from_edges(n, kept)
         pg = PartitionedGraph(graph=consistent, parts=partition)
         if transversal_count(pg, hom_engine).hom_transversals > 0:
             return True

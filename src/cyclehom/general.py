@@ -256,7 +256,9 @@ def detect_cycle_general_directed(
     for _ in range(reps):
         colors = [rng.randrange(k) for _ in range(d.vertex_count)]
         layered = layered_subgraph(d, colors, k)
-        if layered.arc_count() < k:
+        # An empty directed cycle core (graphs.cycle_core) is a DAG: no
+        # closed walk, so no count to make.
+        if layered.is_dag:
             continue
         if hom_cycle_general(layered, k, ops=ops) > 0:
             return True

@@ -50,6 +50,27 @@ class Graph:
                     out.append((u, v))
         return out
 
+    @staticmethod
+    def from_edges(
+        n: int, edges: list[tuple[int, int]], directed: bool = False
+    ) -> "Graph":
+        """A graph on vertices 0..n-1 from distinct, loop-free edge pairs.
+
+        The pairs are not checked: callers pass edges of a graph they
+        already hold, each undirected edge once.
+        """
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            if not directed:
+                adj[v].append(u)
+        return Graph(
+            vertex_count=n,
+            adjacency=tuple(tuple(sorted(a)) for a in adj),
+            directed=directed,
+            edge_count=len(edges),
+        )
+
     def to_digraph(self) -> "Digraph":
         if not self.directed:
             raise GraphError("cannot view an undirected graph as a digraph")
@@ -71,7 +92,6 @@ class Digraph:
         n: int, arcs: list[tuple[int, int]], allow_loops: bool = False
     ) -> "Digraph":
         out: list[list[int]] = [[] for _ in range(n)]
-        indeg = [0] * n
         seen = set()
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -82,15 +102,27 @@ class Digraph:
                 raise GraphError(f"duplicate arc ({u},{v})")
             seen.add((u, v))
             out[u].append(v)
-            indeg[v] += 1
+        return Digraph._from_out_lists(out)
+
+    @staticmethod
+    def _from_out_lists(out: list[list[int]], is_dag: bool = False) -> "Digraph":
+        """The digraph with out-neighbor lists ``out`` (sorted in place).
+
+        With ``is_dag`` the caller vouches that the arcs are distinct and
+        ascend in some vertex order, and acyclicity is not rechecked.
+        """
+        n = len(out)
+        indeg = [0] * n
         for lst in out:
             lst.sort()
+            for v in lst:
+                indeg[v] += 1
         return Digraph(
             vertex_count=n,
             out_adjacency=tuple(tuple(lst) for lst in out),
             in_degree=tuple(indeg),
             max_out_degree=max((len(lst) for lst in out), default=0),
-            is_dag=_is_acyclic(n, out, indeg),
+            is_dag=is_dag or _is_acyclic(n, out, indeg),
         )
 
     def arcs(self) -> list[tuple[int, int]]:
@@ -99,32 +131,10 @@ class Digraph:
     def arc_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.out_adjacency)
 
-    def in_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """In-neighbor lists, computed on demand."""
-        inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, nbrs in enumerate(self.out_adjacency):
-            for v in nbrs:
-                inc[v].append(u)
-        return tuple(tuple(lst) for lst in inc)
-
-    def reversed(self) -> "Digraph":
-        return Digraph.from_arcs(
-            self.vertex_count, [(v, u) for u, v in self.arcs()], allow_loops=True
-        )
-
     def underlying_graph(self) -> Graph:
         """The simple undirected graph obtained by forgetting arc directions."""
         pairs = {(min(u, v), max(u, v)) for u, v in self.arcs() if u != v}
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in sorted(pairs):
-            adj[u].append(v)
-            adj[v].append(u)
-        return Graph(
-            vertex_count=self.vertex_count,
-            adjacency=tuple(tuple(sorted(lst)) for lst in adj),
-            directed=False,
-            edge_count=len(pairs),
-        )
+        return Graph.from_edges(self.vertex_count, list(pairs))
 
 
 def _is_acyclic(n: int, out: list[list[int]], indeg: list[int]) -> bool:
@@ -202,12 +212,7 @@ def parse_graph(text: str | bytes, directed: bool = False) -> Graph:
 
 def write_graph(g: Graph | Digraph) -> str:
     """Serialize to the edge-list format, edges sorted by (u, v)."""
-    if isinstance(g, Digraph):
-        pairs = sorted(g.arcs())
-    elif g.directed:
-        pairs = sorted(g.edges())
-    else:
-        pairs = sorted(g.edges())
+    pairs = sorted(g.arcs() if isinstance(g, Digraph) else g.edges())
     return "".join(f"{u} {v}\n" for u, v in pairs)
 
 
@@ -274,14 +279,66 @@ def split_by_ordering(d: Digraph, ordering: DegeneracyOrdering) -> tuple[Digraph
     out-degree at most the ordering's degeneracy of the underlying graph.
     """
     n = d.vertex_count
+    if len(ordering.order) != n or sorted(ordering.order) != list(range(n)):
+        raise GraphError("ordering does not match the digraph's vertex set")
     pos = [0] * n
     for i, v in enumerate(ordering.order):
         pos[v] = i
-    ascending = []
-    descending = []
-    for u, v in d.arcs():
-        if pos[u] < pos[v]:
-            ascending.append((u, v))
-        else:
-            descending.append((v, u))
-    return Digraph.from_arcs(n, ascending), Digraph.from_arcs(n, descending)
+    ascending: list[list[int]] = [[] for _ in range(n)]
+    descending: list[list[int]] = [[] for _ in range(n)]
+    for u, nbrs in enumerate(d.out_adjacency):
+        for v in nbrs:
+            if u == v:
+                raise GraphError(f"self-loop at vertex {u}")
+            if pos[u] < pos[v]:
+                ascending[u].append(v)
+            else:
+                descending[v].append(u)
+    return (
+        Digraph._from_out_lists(ascending, is_dag=True),
+        Digraph._from_out_lists(descending, is_dag=True),
+    )
+
+
+def cycle_core(
+    n: int, pairs: list[tuple[int, int]], directed: bool
+) -> list[tuple[int, int]]:
+    """The pairs whose endpoints both survive peeling to the cycle core.
+
+    Repeatedly deletes every vertex of degree < 2 or, when ``directed``,
+    every vertex with no in-arc or no out-arc among the survivors.  Every
+    vertex of a cycle (closed directed walk) survives, so the result is
+    empty exactly when the graph is a forest (a DAG).  Undirected pairs
+    are given once each; the survivors keep their input order.
+    """
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)] if directed else succ
+    for u, v in pairs:
+        succ[u].append(v)
+        pred[v].append(u)
+    # A vertex dies when its surviving in-arcs or out-arcs (undirected: its
+    # surviving neighbors beyond the first) drop to zero.
+    if directed:
+        need_in = [len(a) for a in pred]
+        need_out = [len(a) for a in succ]
+        alive = [need_in[v] > 0 and need_out[v] > 0 for v in range(n)]
+    else:
+        need_in = need_out = [len(a) - 1 for a in succ]
+        alive = [need_in[v] > 0 for v in range(n)]
+    stack = [v for v in range(n) if not alive[v]]
+    while stack:
+        v = stack.pop()
+        for u in succ[v]:
+            if alive[u]:
+                need_in[u] -= 1
+                if need_in[u] == 0:
+                    alive[u] = False
+                    stack.append(u)
+        if directed:
+            for u in pred[v]:
+                if alive[u]:
+                    need_out[u] -= 1
+                    if need_out[u] == 0:
+                        alive[u] = False
+                        stack.append(u)
+    return [(u, v) for u, v in pairs if alive[u] and alive[v]]

@@ -66,8 +66,12 @@ def _packed(per_length: dict, top: int, width: int) -> dict[tuple[int, int], int
 def _weighted(
     n: int, horizon: int, per_length: dict, ring_view: dict, width: int
 ) -> WeightedDigraph:
+    # The keys are distinct pairs of a DAG's walk relation: a DAG again.
+    out: list[list[int]] = [[] for _ in range(n)]
+    for x, y in ring_view:
+        out[x].append(y)
     return WeightedDigraph(
-        digraph=Digraph.from_arcs(n, list(ring_view)), horizon=horizon,
+        digraph=Digraph._from_out_lists(out, is_dag=True), horizon=horizon,
         per_length=per_length, ring_view=ring_view, width=width,
     )
 

@@ -3,6 +3,8 @@ import warnings
 
 import pytest
 
+import cyclehom.detect
+import cyclehom.general
 from cyclehom.detect import (
     GadgetInstance,
     PartitionedGraph,
@@ -11,8 +13,11 @@ from cyclehom.detect import (
     detect_directed_cycle,
     transversal_count,
 )
+from cyclehom.general import detect_cycle_general_directed
 from cyclehom.graphs import Digraph, Graph, GraphError, degeneracy_ordering, parse_graph
+from cyclehom.ops import OpCounter
 from cyclehom.oracle import has_simple_cycle_brute
+from cyclehom.pipeline import EngineError, hom_cycle_degenerate
 
 
 def random_graph(rng, n, p):
@@ -236,3 +241,87 @@ def test_degeneracy_warning():
         warnings.simplefilter("always")
         detect_cycle_degenerate(g, 6, reps=1, seed=5, degeneracy_warning=2)
     assert any("degeneracy" in str(w.message) for w in caught)
+
+
+def partitioned_with_acyclic_attachments(rng, directed):
+    """A random graph or digraph with pendant trees (undirected) or DAG
+    tails (directed) hung on it, randomly partitioned, plus one edge inside
+    every part with two vertices."""
+    base = rng.randint(3, 8)
+    n = base + rng.randint(1, 6)
+    pairs = {
+        (u, v) for u in range(base) for v in range(base)
+        if u != v and (directed or u < v) and rng.random() < 0.6
+    }
+    for v in range(base, n):
+        # a new vertex only receives or only sends arcs: never on a cycle
+        into = rng.random() < 0.5
+        for u in rng.sample(range(v), min(v, rng.randint(1, 2)) if directed else 1):
+            pairs.add((u, v) if into or not directed else (v, u))
+    p = rng.randint(3, min(6, n))
+    parts = [[] for _ in range(p)]
+    for v in range(n):
+        parts[rng.randrange(p)].append(v)
+    for part in parts:
+        if len(part) >= 2:
+            u, v = rng.sample(part, 2)
+            pairs.add((u, v) if directed else (min(u, v), max(u, v)))
+    pairs = sorted(pairs)
+    graph = Digraph.from_arcs(n, pairs) if directed else Graph.from_edges(n, pairs)
+    return PartitionedGraph(graph, tuple(tuple(x) for x in parts))
+
+
+def test_transversal_count_ignores_trees_tails_and_intra_part_edges():
+    rng = random.Random(55)
+    positive = 0
+    for directed in (False, True):
+        for _ in range(40):
+            pg = partitioned_with_acyclic_attachments(rng, directed)
+            expected = brute_transversal_homs(pg)
+            assert transversal_count(pg).hom_transversals == expected
+            positive += expected > 0
+    assert positive > 10
+
+
+def test_engine_errors_still_raise():
+    pg = PartitionedGraph(cycle_graph(4), ((0,), (1,), (2,), (3,)))
+    with pytest.raises(EngineError):
+        transversal_count(pg, hom_engine=lambda g, p: 1)
+
+    def broken(g, p):
+        raise EngineError("broken engine")
+
+    with pytest.raises(EngineError):
+        transversal_count(pg, hom_engine=broken)
+
+
+def _colour_by_residue(rng, n, k):
+    return tuple(tuple(range(i, n, k)) for i in range(k))
+
+
+def test_soundness_when_the_core_survives(monkeypatch):
+    # Colouring vertex i of a long cycle by i mod k keeps the whole cycle
+    # consistent, so its cycle core survives and every term is counted;
+    # the cycle is longer than k, so no detector may answer True.
+    monkeypatch.setattr(cyclehom.detect, "_random_partition", _colour_by_residue)
+    layered = cyclehom.general.layered_subgraph
+    monkeypatch.setattr(
+        cyclehom.general, "layered_subgraph",
+        lambda d, colors, k: layered(d, [v % k for v in range(d.vertex_count)], k),
+    )
+    calls = []
+
+    def engine(g, p):
+        calls.append(p)
+        return hom_cycle_degenerate(g, p)
+
+    c8 = Digraph.from_arcs(8, [(i, (i + 1) % 8) for i in range(8)])
+    assert not detect_directed_cycle(c8, 4, reps=2, seed=1, hom_engine=engine)
+    assert calls and set(calls) == {8}
+    ops = OpCounter()
+    assert not detect_cycle_general_directed(c8, 4, reps=2, seed=1, ops=ops)
+    assert ops.count > 0
+
+    calls.clear()
+    assert not detect_cycle_degenerate(cycle_graph(12), 6, reps=2, seed=1, hom_engine=engine)
+    assert calls and set(calls) == {6}

@@ -8,6 +8,7 @@ from cyclehom.graphs import (
     Graph,
     GraphError,
     ParseError,
+    cycle_core,
     degeneracy_ordering,
     orient_acyclic,
     parse_graph,
@@ -233,3 +234,74 @@ def test_digraph_rejects_loops_and_duplicates():
         Digraph.from_arcs(2, [(0, 1), (0, 1)])
     loop_ok = Digraph.from_arcs(2, [(0, 0)], allow_loops=True)
     assert loop_ok.arc_count() == 1
+
+
+def test_cycle_core_examples():
+    tree = parse_graph("0 1\n1 2\n2 3\n1 4\n4 5")
+    assert cycle_core(tree.vertex_count, tree.edges(), False) == []
+    dag = Digraph.from_arcs(5, [(0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (3, 4)])
+    assert cycle_core(5, dag.arcs(), True) == []
+    # a 4-cycle with a pendant path (and, directed, an arc into the cycle)
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)]
+    assert cycle_core(6, edges, False) == edges[:4]
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (6, 0)]
+    assert cycle_core(7, arcs, True) == arcs[:4]
+
+
+def test_cycle_core_empty_exactly_on_forests_and_dags():
+    rng = random.Random(63)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.4)))
+        core = cycle_core(n, g.edges(), False)
+        assert bool(core) == (degeneracy_ordering(g).degeneracy >= 2)
+        # every survivor has two surviving neighbors
+        deg = [0] * n
+        for u, v in core:
+            deg[u] += 1
+            deg[v] += 1
+        assert all(d == 0 or d >= 2 for d in deg)
+
+        arcs = [
+            (i, j) for i in range(n) for j in range(n)
+            if i != j and rng.random() < 0.15
+        ]
+        d = Digraph.from_arcs(n, arcs)
+        core = cycle_core(n, arcs, True)
+        assert bool(core) == (not d.is_dag)
+        assert set(core) <= set(arcs)
+        heads = {v for _, v in core}
+        tails = {u for u, _ in core}
+        assert heads == tails
+
+
+def test_graph_from_edges_matches_parse():
+    rng = random.Random(64)
+    for directed in (False, True):
+        for _ in range(20):
+            n = rng.randint(2, 10)
+            pairs = {
+                (i, j) for i in range(n) for j in range(n)
+                if i != j and (directed or i < j) and rng.random() < 0.3
+            }
+            g = parse_graph("".join(f"{u} {v}\n" for u, v in sorted(pairs)), directed)
+            assert Graph.from_edges(g.vertex_count, g.edges(), directed) == g
+
+
+def test_split_halves_equal_checked_construction():
+    rng = random.Random(65)
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        arcs = [
+            (i, j) for i in range(n) for j in range(n)
+            if i != j and rng.random() < 0.3
+        ]
+        d = Digraph.from_arcs(n, arcs)
+        for half in split_by_ordering(d, degeneracy_ordering(d.underlying_graph())):
+            assert half == Digraph.from_arcs(n, half.arcs())
+    looped = Digraph.from_arcs(2, [(0, 1), (1, 1)], allow_loops=True)
+    with pytest.raises(GraphError):
+        split_by_ordering(looped, degeneracy_ordering(looped.underlying_graph()))
+    d = Digraph.from_arcs(3, [(0, 1)])
+    with pytest.raises(GraphError):
+        split_by_ordering(d, degeneracy_ordering(parse_graph("0 1")))

@@ -117,3 +117,16 @@ def test_rejects_cyclic_and_bad_horizon():
     d = Digraph.from_arcs(2, [(0, 1)])
     with pytest.raises(GraphError):
         build_walk_weights(d, 0)
+
+
+def test_weight_supports_equal_checked_construction():
+    rng = random.Random(66)
+    for _ in range(30):
+        n = rng.randint(1, 10)
+        d = random_dag(rng, n, rng.choice((0.2, 0.4)))
+        horizon = rng.randint(1, 5)
+        for view in (AGGREGATE, POLYNOMIAL):
+            w = build_walk_weights(d, horizon, view)
+            short = restrict_view(w, rng.randint(1, horizon), view)
+            for weights in (w, short):
+                assert weights.digraph == Digraph.from_arcs(n, list(weights.ring_view))
