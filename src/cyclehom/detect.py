@@ -129,7 +129,8 @@ def transversal_count(
         sign = -1 if (p - size) % 2 else 1
         for keep in combinations(range(p), size):
             sub = _induced_subgraph(pg, keep, edges)
-            if sub is not None:
+            # A DAG has no closed walk: its term is 0 without a count.
+            if sub is not None and not (isinstance(sub, Digraph) and sub.is_dag):
                 total += sign * hom_engine(sub, p)
     orbit = p if pg.directed() else 2 * p
     if total % orbit:

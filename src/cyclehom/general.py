@@ -1,11 +1,28 @@
 """Combinatorial cycle-homomorphism counting in arbitrary graphs.
 
-The same low/high-degree split as the degenerate engine, but run directly on
-the input graph: path tables enumerate walks whose interior vertices have
-degree at most a threshold, high tables extend from a large-degree anchor,
-and joining the two halves over every low/high pattern of the cycle vertices
-counts hom(C_k, G) in about m**(2 - 1/ceil(k/2)) time.  Also hosts directed
-k-cycle detection by random layered partitions.
+hom(C_k, G) is the number of closed k-walks.  With a degree threshold
+delta, a vertex is low when its degree is at most delta and high otherwise
+(the split of Alon, Yuster and Zwick, "Finding and counting given length
+cycles", 1997).  The count runs anchor by anchor: each anchor x grows one
+walk row {y: count} forward for floor(k/2) steps and one backward for
+ceil(k/2) steps, joins the two rows over their common endpoints y, and
+drops them.  Memory holds one anchor's rows, never a table over all (x, y)
+pairs.
+
+- A closed walk through low vertices only is counted at its position 0,
+  from a low anchor whose rows extend through low vertices only: at most
+  delta**ceil(k/2) entries per row.
+- A closed walk through some high vertex is counted at its first high
+  position.  From a high anchor the rows extend through every vertex and
+  are keyed by the low/high signature of their positions, so that the join
+  knows the whole cycle pattern.
+
+With delta = ceil(m ** (1 / ceil(k/2))) this takes about
+m**(2 - 1/ceil(k/2)) time.  A digraph is first cut to its cycle core
+(graphs.cycle_core): a vertex with no surviving in-arc or out-arc lies on
+no closed walk.  An undirected graph is not pruned, since closed walks
+bounce on pendant trees (hom(C_4, K_2) = 2).  Also hosts directed k-cycle
+detection by random layered partitions.
 """
 
 from __future__ import annotations
@@ -15,29 +32,91 @@ import random
 from itertools import product
 
 from .comb import integer_ceil_root
-from .graphs import Digraph, Graph, GraphError
+from .graphs import Digraph, Graph, GraphError, cycle_core
 from .ops import OpCounter
 
 
-def _degree_and_adjacency(g: Graph | Digraph):
-    """(total degree, forward adjacency, reverse adjacency, directed flag)."""
-    if isinstance(g, Digraph):
-        fwd = [list(nbrs) for nbrs in g.out_adjacency]
-        rev: list[list[int]] = [[] for _ in range(g.vertex_count)]
-        for u, nbrs in enumerate(g.out_adjacency):
-            for v in nbrs:
-                rev[v].append(u)
-        deg = [len(fwd[v]) + len(rev[v]) for v in range(g.vertex_count)]
-        return deg, fwd, rev, True
-    if g.directed:
-        return _degree_and_adjacency(g.to_digraph())
-    adj = [list(nbrs) for nbrs in g.adjacency]
-    deg = [len(a) for a in adj]
-    return deg, adj, adj, False
+def _adjacency(g: Graph | Digraph, core: bool):
+    """(total degree, forward lists, reverse lists, directed flag).
+
+    With ``core`` a digraph keeps only its cycle core's arcs, over the
+    vertices they touch, relabeled densely; an undirected graph is always
+    kept whole.
+    """
+    if isinstance(g, Graph) and not g.directed:
+        return [len(a) for a in g.adjacency], g.adjacency, g.adjacency, False
+    n = g.vertex_count
+    arcs = g.arcs() if isinstance(g, Digraph) else g.edges()
+    if core:
+        index: dict[int, int] = {}
+        arcs = [
+            (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+            for u, v in cycle_core(n, arcs, True)
+        ]
+        n = len(index)
+    fwd: list[list[int]] = [[] for _ in range(n)]
+    rev: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        fwd[u].append(v)
+        rev[v].append(u)
+    return [len(fwd[v]) + len(rev[v]) for v in range(n)], fwd, rev, True
+
+
+def _split(adj, high: list[bool]) -> tuple[list[list[int]], list[list[int]]]:
+    """Each adjacency list cut into its low and its high targets."""
+    low_adj = [[v for v in nbrs if not high[v]] for nbrs in adj]
+    high_adj = [[v for v in nbrs if high[v]] for nbrs in adj]
+    return low_adj, high_adj
+
+
+def _extend(row: dict[int, int], adj, ops: OpCounter | None) -> dict[int, int]:
+    """One walk step: the walk counts of ``row`` moved along every list entry."""
+    nxt: dict[int, int] = {}
+    get = nxt.get
+    for y, c in row.items():
+        for z in adj[y]:
+            nxt[z] = get(z, 0) + c
+    if ops:
+        ops.add(sum(len(adj[y]) for y in row))
+    return nxt
+
+
+def _extend_signed(
+    rows: dict[tuple[bool, ...], dict[int, int]],
+    low_adj: list[list[int]],
+    high_adj: list[list[int]],
+    ops: OpCounter | None,
+) -> dict[tuple[bool, ...], dict[int, int]]:
+    """One step of signature-keyed rows; the signature gains the new
+    endpoint's high flag."""
+    nxt: dict[tuple[bool, ...], dict[int, int]] = {}
+    for sig, row in rows.items():
+        for flag, adj in ((False, low_adj), (True, high_adj)):
+            stepped = _extend(row, adj, ops)
+            if stepped:
+                nxt[sig + (flag,)] = stepped
+    return nxt
+
+
+def _join(f: dict[int, int], r: dict[int, int], ops: OpCounter | None) -> int:
+    """Sum over common endpoints of the product of the two rows' counts."""
+    if len(r) < len(f):
+        f, r = r, f
+    total = 0
+    products = 0
+    get = r.get
+    for y, c in f.items():
+        c2 = get(y)
+        if c2:
+            total += c * c2
+            products += 1
+    if ops:
+        ops.add(products)
+    return total
 
 
 def _low_tables(
-    adj: list[list[int]],
+    adj,
     deg: list[int],
     r_max: int,
     delta: int,
@@ -45,76 +124,48 @@ def _low_tables(
 ) -> dict[int, dict[tuple[int, int], int]]:
     """Counts of r-edge walks keyed by endpoints, interior vertices low.
 
-    Positions 2..r of the walk must have degree <= delta; the endpoints are
-    unconstrained here and get filtered at join time.
+    Positions 1..r-1 of the walk must have degree <= delta; the endpoints
+    are unconstrained.  Assembled from one row per start vertex.
     """
-    tables: dict[int, dict[tuple[int, int], int]] = {}
-    first: dict[tuple[int, int], int] = {}
+    low_adj, high_adj = _split(adj, [d > delta for d in deg])
+    tables: dict[int, dict[tuple[int, int], int]] = {r: {} for r in range(1, r_max + 1)}
     for x in range(len(adj)):
-        for u in adj[x]:
-            first[(x, u)] = 1
-    if ops:
-        ops.add(len(first))
-    tables[1] = first
-    for r in range(2, r_max + 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (x, v), cnt in tables[r - 1].items():
-            if deg[v] > delta:
-                continue
-            for y in adj[v]:
-                key = (x, y)
-                nxt[key] = nxt.get(key, 0) + cnt
-                if ops:
-                    ops.add()
-        tables[r] = nxt
+        row = {x: 1}
+        for r in range(1, r_max + 1):
+            tab = tables[r]
+            for y, c in _extend(row, high_adj, ops).items():
+                tab[(x, y)] = c
+            row = _extend(row, low_adj, ops)
+            for y, c in row.items():
+                tab[(x, y)] = c
     return tables
 
 
 def _high_tables(
-    adj: list[list[int]],
+    adj,
     deg: list[int],
     r_max: int,
     delta: int,
     ops: OpCounter | None,
 ) -> dict[int, dict[tuple[bool, ...], dict[tuple[int, int], int]]]:
     """Walk counts from high-degree anchors, keyed by the low/high pattern
-    of every later position including the far endpoint."""
-    base: dict[tuple[bool, ...], dict[tuple[int, int], int]] = {}
+    of every later position including the far endpoint.  Assembled from
+    each high anchor's signature rows."""
+    high = [d > delta for d in deg]
+    low_adj, high_adj = _split(adj, high)
+    levels: dict[int, dict[tuple[bool, ...], dict[tuple[int, int], int]]] = {
+        r: {} for r in range(1, r_max + 1)
+    }
     for x in range(len(adj)):
-        if deg[x] <= delta:
+        if not high[x]:
             continue
-        for y in adj[x]:
-            sig = (deg[y] > delta,)
-            tab = base.setdefault(sig, {})
-            tab[(x, y)] = tab.get((x, y), 0) + 1
-            if ops:
-                ops.add()
-    levels = {1: base}
-    for r in range(2, r_max + 1):
-        columns: dict[tuple[bool, ...], dict[int, list[tuple[int, int]]]] = {}
-        for sig, tab in levels[r - 1].items():
-            col: dict[int, list[tuple[int, int]]] = {}
-            for (x, u), cnt in tab.items():
-                col.setdefault(u, []).append((x, cnt))
-            columns[sig] = col
-        nxt: dict[tuple[bool, ...], dict[tuple[int, int], int]] = {}
-        for u in range(len(adj)):
-            outs = adj[u]
-            if not outs:
-                continue
-            for sig, col in columns.items():
-                hits = col.get(u)
-                if not hits:
-                    continue
-                for y in outs:
-                    new_sig = sig + (deg[y] > delta,)
-                    tab = nxt.setdefault(new_sig, {})
-                    for x, cnt in hits:
-                        key = (x, y)
-                        tab[key] = tab.get(key, 0) + cnt
-                        if ops:
-                            ops.add()
-        levels[r] = nxt
+        rows: dict[tuple[bool, ...], dict[int, int]] = {(): {x: 1}}
+        for r in range(1, r_max + 1):
+            rows = _extend_signed(rows, low_adj, high_adj, ops)
+            for sig, row in rows.items():
+                tab = levels[r].setdefault(sig, {})
+                for y, c in row.items():
+                    tab[(x, y)] = c
     return levels
 
 
@@ -136,7 +187,7 @@ def path_table_general(
     """
     if r < 1:
         raise GraphError("path parameter r must be >= 1")
-    deg, fwd, rev, _ = _degree_and_adjacency(g)
+    deg, fwd, rev, _ = _adjacency(g, core=False)
     adj = rev if reverse else fwd
     if mode == "low":
         return _low_tables(adj, deg, r, delta, ops)[r]
@@ -147,73 +198,94 @@ def path_table_general(
     return _high_tables(adj, deg, r, delta, ops)[r].get(tuple(signature), {})
 
 
-def hom_cycle_general(
-    g: Graph | Digraph, k: int, ops: OpCounter | None = None
-) -> int:
-    """Exact hom(C_k, g) for any graph or digraph, no degeneracy assumed.
+def _signature_pairs(
+    k: int, a: int, b: int
+) -> dict[tuple[bool, ...], list[tuple[tuple[bool, ...], int]]]:
+    """The halves' signatures for every low/high pattern of the k positions
+    with a high one, split at its first high position: sig_f -> [(sig_r,
+    patterns)].
 
-    Splits the cycle at an anchor into paths of lengths floor(k/2) and
-    ceil(k/2) and joins their endpoint tables over every low/high pattern,
-    with the threshold at ceil(m ** (1 / ceil(k/2))).
+    Patterns that differ only in how many low positions precede the first
+    high one share a pair; the pair is joined once and weighted by their
+    number.
     """
-    if k < 3:
-        raise GraphError("cycle length must be >= 3")
-    deg, fwd, rev, directed = _degree_and_adjacency(g)
-    n = len(deg)
-    m = sum(len(a) for a in fwd)
-    if not directed:
-        m //= 2
-    if m == 0:
-        return 0
-    delta = max(1, integer_ceil_root(m, (k + 1) // 2))
-    a = k // 2
-    b = k - a
-
-    low_fwd = _low_tables(fwd, deg, a, delta, ops)
-    high_fwd = _high_tables(fwd, deg, a, delta, ops)
-    if directed:
-        low_rev = _low_tables(rev, deg, b, delta, ops)
-        high_rev = _high_tables(rev, deg, b, delta, ops)
-    else:
-        low_rev = _low_tables(fwd, deg, b, delta, ops) if b != a else low_fwd
-        high_rev = _high_tables(fwd, deg, b, delta, ops) if b != a else high_fwd
-
-    total = 0
-    t1 = low_fwd[a]
-    t2 = low_rev[b]
-    if len(t2) < len(t1):
-        t1, t2 = t2, t1
-    for key, c1 in t1.items():
-        if deg[key[0]] > delta or deg[key[1]] > delta:
-            continue
-        c2 = t2.get(key)
-        if c2:
-            total += c1 * c2
-            if ops:
-                ops.add()
-
-    high_a = high_fwd[a]
-    high_b = high_rev[b]
+    weights: dict[tuple[tuple[bool, ...], tuple[bool, ...]], int] = {}
     for pattern in product((False, True), repeat=k):
         if not any(pattern):
             continue
         anchor = pattern.index(True)
         sig_f = tuple(pattern[(anchor + t) % k] for t in range(1, a + 1))
         sig_r = tuple(pattern[(anchor - t) % k] for t in range(1, b + 1))
-        ta = high_a.get(sig_f)
-        if not ta:
+        weights[sig_f, sig_r] = weights.get((sig_f, sig_r), 0) + 1
+    by_forward: dict[tuple[bool, ...], list[tuple[tuple[bool, ...], int]]] = {}
+    for (sig_f, sig_r), weight in weights.items():
+        by_forward.setdefault(sig_f, []).append((sig_r, weight))
+    return by_forward
+
+
+def hom_cycle_general(
+    g: Graph | Digraph, k: int, ops: OpCounter | None = None
+) -> int:
+    """Exact hom(C_k, g) for any graph or digraph, no degeneracy assumed.
+
+    Anchor by anchor, joins a floor(k/2)-step forward row with a
+    ceil(k/2)-step backward row over their endpoints, with the low/high
+    threshold at ceil(m ** (1 / ceil(k/2))); a digraph is counted on its
+    cycle core.  See the module docstring.
+    """
+    if k < 3:
+        raise GraphError("cycle length must be >= 3")
+    deg, fwd, rev, directed = _adjacency(g, core=True)
+    n = len(deg)
+    m = sum(deg) // 2
+    if m == 0:
+        return 0
+    delta = max(1, integer_ceil_root(m, (k + 1) // 2))
+    a = k // 2
+    b = k - a
+    high = [d > delta for d in deg]
+    fwd_low, fwd_high = _split(fwd, high)
+    rev_low, rev_high = _split(rev, high) if directed else (fwd_low, fwd_high)
+
+    # Closed walks through low vertices only, anchored at position 0.
+    total = 0
+    for x in range(n):
+        if high[x] or not deg[x]:
             continue
-        tb = high_b.get(sig_r)
-        if not tb:
+        f = {x: 1}
+        for _ in range(a):
+            f = _extend(f, fwd_low, ops)
+        if not f:
             continue
-        if len(tb) < len(ta):
-            ta, tb = tb, ta
-        for key, c1 in ta.items():
-            c2 = tb.get(key)
-            if c2:
-                total += c1 * c2
-                if ops:
-                    ops.add()
+        if directed:
+            r = {x: 1}
+            for _ in range(b):
+                r = _extend(r, rev_low, ops)
+        else:
+            # Undirected: the backward row is the forward row, plus one
+            # step at odd k.
+            r = _extend(f, fwd_low, ops) if b > a else f
+        total += _join(f, r, ops)
+
+    # Closed walks through a high vertex, anchored at the first one.
+    pairs = _signature_pairs(k, a, b)
+    for x in range(n):
+        if not high[x]:
+            continue
+        fs: dict[tuple[bool, ...], dict[int, int]] = {(): {x: 1}}
+        for _ in range(a):
+            fs = _extend_signed(fs, fwd_low, fwd_high, ops)
+        if directed:
+            rs: dict[tuple[bool, ...], dict[int, int]] = {(): {x: 1}}
+            for _ in range(b):
+                rs = _extend_signed(rs, rev_low, rev_high, ops)
+        else:
+            rs = _extend_signed(fs, fwd_low, fwd_high, ops) if b > a else fs
+        for sig_f, f in fs.items():
+            for sig_r, weight in pairs.get(sig_f, ()):
+                r = rs.get(sig_r)
+                if r:
+                    total += weight * _join(f, r, ops)
     return total
 
 

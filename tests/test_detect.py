@@ -325,3 +325,23 @@ def test_soundness_when_the_core_survives(monkeypatch):
     calls.clear()
     assert not detect_cycle_degenerate(cycle_graph(12), 6, reps=2, seed=1, hom_engine=engine)
     assert calls and set(calls) == {6}
+
+
+def test_transversal_count_skips_dag_terms():
+    # A directed term whose kept arcs form a DAG has no closed walk, so it
+    # must not reach the engine; the total stays exact.
+    rng = random.Random(56)
+    calls = []
+
+    def engine(g, p):
+        calls.append(g.is_dag)
+        return hom_cycle_degenerate(g, p)
+
+    positive = 0
+    for _ in range(40):
+        pg = partitioned_with_acyclic_attachments(rng, True)
+        expected = brute_transversal_homs(pg)
+        assert transversal_count(pg, hom_engine=engine).hom_transversals == expected
+        positive += expected > 0
+    assert calls and not any(calls)
+    assert positive > 5
