@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .comb import hom_alt_cycle_comb
 from .detect import detect_cycle_degenerate, detect_directed_cycle
-from .general import detect_cycle_general_directed, hom_cycle_general
+from .general import default_repetitions, detect_cycle_general_directed, hom_cycle_general
 from .graphs import Digraph, Graph, GraphError, degeneracy_ordering, parse_graph
 from .matmul import CostParams, cost_model_ck
 from .algebra import build_recovery_system, decompose_linear_combination
@@ -76,10 +76,26 @@ def _cmd_hom_count(args) -> int:
     return 0
 
 
+def _thread_count() -> int | None:
+    """Worker processes from the environment (1 when unset or empty), or
+    None after reporting a value that is not a positive integer."""
+    raw = os.environ.get(THREADS_ENV) or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers >= 1:
+        return workers
+    print(f"error: {THREADS_ENV} must be a positive integer, not {raw!r}", file=sys.stderr)
+    return None
+
+
 def _cmd_detect(args) -> int:
+    workers = _thread_count()
+    if workers is None:
+        return 2
     g = _read_graph(args.input, args.directed)
     seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
     started = time.perf_counter()
     if args.general:
         if not g.directed:
@@ -109,13 +125,7 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _detect_once(fn, target, k, reps, seed, delta):
-    return fn(target, k, reps=reps, seed=seed, delta=delta)
-
-
 def _maybe_parallel_detect(fn, target, args, seed: int, workers: int) -> bool:
-    from .detect import default_repetitions
-
     reps = args.reps if args.reps is not None else default_repetitions(args.k, args.delta)
     if workers <= 1:
         return fn(target, args.k, reps=reps, seed=seed, delta=args.delta)
@@ -129,7 +139,7 @@ def _maybe_parallel_detect(fn, target, args, seed: int, workers: int) -> bool:
             if share <= 0:
                 break
             jobs.append(
-                pool.submit(_detect_once, fn, target, args.k, share, seed + w, args.delta)
+                pool.submit(fn, target, args.k, reps=share, seed=seed + w, delta=args.delta)
             )
         found = False
         for job in concurrent.futures.as_completed(jobs):

@@ -1,12 +1,25 @@
 """Combinatorial engine for alternating cycle orientations.
 
-The alternating orientation of the 2l-cycle has l sources and l sinks.  Its
-weighted homomorphism count is assembled from path tables over the weighted
-digraph: a "low" table enumerates alternating-path maps whose interior sink
-images have small in-degree, and "high" tables extend paths anchored at a
-large-in-degree sink, split by the low/high pattern of the remaining sinks.
-Joining two tables over shared endpoints and summing over all sink patterns
-yields the count in time n**(2 - 1/ceil(l/2)) up to logarithmic factors.
+The alternating orientation of the 2l-cycle has l sources and l sinks.
+Summing out each source leaves the weighted cherry relation over sinks,
+T[x][y] = sum_z against(z, x) * along(z, y), so the weighted homomorphism
+count is the weighted count of closed l-walks in T.
+
+This module hosts the one low/high closed-walk engine, ``_closed_walks``,
+which ``general.hom_cycle_general`` runs on plain adjacency lists and
+``hom_alt_cycle_comb`` runs on T (the split of Alon, Yuster and Zwick,
+"Finding and counting given length cycles", 1997).  A vertex is high when
+its degree (here: a sink's in-degree) exceeds a threshold.  Anchor by
+anchor, a closed walk through low vertices only is counted at its
+position 0 from rows that extend through low vertices only, and one
+through a high vertex is counted at its first high position from rows
+keyed by the low/high signature of their positions.  Each anchor joins a
+floor(l/2)-step forward row with a ceil(l/2)-step backward row (in the
+transpose, or the forward row again when T is symmetric) over their
+endpoints.  The caller passes the step: weighted over (target, weight)
+lists here, unweighted in ``general``.  With the threshold at
+ceil(n ** (1 / ceil(l/2))) this takes about n**(2 - 1/ceil(l/2)) time.
+The path tables are assemblies of the same rows.
 """
 
 from __future__ import annotations
@@ -60,23 +73,14 @@ class PathTable:
     signature: DegreeSignature | None = None
 
 
-def _weight_sides(pair: WalkPair, reverse: bool) -> tuple[WeightedDigraph, WeightedDigraph]:
-    """(along, against) weights for a traversal direction around the cycle."""
-    if reverse:
-        return pair.against, pair.along
-    return pair.along, pair.against
-
-
 def _cherry_adjacency(
     wl: WeightedDigraph, wa: WeightedDigraph, ops: OpCounter | None
-) -> tuple[
-    dict[tuple[int, int], int], dict[int, list[tuple[int, int]]]
-]:
+) -> tuple[dict[tuple[int, int], int], list[list[tuple[int, int]]]]:
     """Single-source two-sink path weights, as a table and partner lists.
 
     The table keys (first, second) sink; partners[v] lists every (y, w)
-    with a nonzero aggregate, which is what both table extensions consume:
-    one extension step is a join against these lists.
+    with a nonzero aggregate: the cherry relation's out-lists, which the
+    closed-walk steps consume.
     """
     table: dict[tuple[int, int], int] = {}
     for z in range(wl.vertex_count):
@@ -90,100 +94,193 @@ def _cherry_adjacency(
                 val = wax * wly
                 got = table.get(key)
                 table[key] = val if got is None else got + val
-    partners: dict[int, list[tuple[int, int]]] = {}
+    partners: list[list[tuple[int, int]]] = [[] for _ in range(wl.vertex_count)]
     for (v, y), weight in table.items():
-        partners.setdefault(v, []).append((y, weight))
+        partners[v].append((y, weight))
     return table, partners
 
 
-def _low_tables(
-    pair: WalkPair,
-    r_max: int,
-    delta: int,
-    indeg: list[int],
-    reverse: bool,
-    ops: OpCounter | None = None,
-    cherries=None,
-) -> dict[int, dict[tuple[int, int], int]]:
-    """Low path tables for r = 1..r_max in one traversal direction.
+def _weighted_split(partners, high: list[bool], transpose: bool = False):
+    """(low, high) out-lists of the cherry relation, or of its transpose:
+    each (y, w) entry goes to the list of its target's status."""
+    n = len(partners)
+    low: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    hi: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for x, items in enumerate(partners):
+        for y, w in items:
+            if transpose:
+                (hi if high[x] else low)[y].append((x, w))
+            else:
+                (hi if high[y] else low)[x].append((y, w))
+    return low, hi
 
-    Interior sinks are restricted to in-degree <= delta; the two endpoint
-    sinks are left unconstrained (callers filter them at join time).
+
+def _weighted_step(row: dict[int, int], adj, ops: OpCounter | None) -> dict[int, int]:
+    """One weighted step: the weights of ``row`` moved along every (z, w)
+    entry, multiplied by w."""
+    nxt: dict[int, int] = {}
+    get = nxt.get
+    for y, c in row.items():
+        for z, w in adj[y]:
+            nxt[z] = get(z, 0) + c * w
+    if ops:
+        ops.add(sum(len(adj[y]) for y in row))
+    return nxt
+
+
+def _extend_signed(rows, lists, step, ops: OpCounter | None):
+    """One step of signature-keyed rows; the signature gains the new
+    endpoint's high flag."""
+    nxt: dict[tuple[bool, ...], dict[int, int]] = {}
+    for sig, row in rows.items():
+        for flag, adj in zip((False, True), lists):
+            stepped = step(row, adj, ops)
+            if stepped:
+                nxt[sig + (flag,)] = stepped
+    return nxt
+
+
+def _join(f: dict[int, int], r: dict[int, int], ops: OpCounter | None) -> int:
+    """Sum over common endpoints of the product of the two rows' weights."""
+    if len(r) < len(f):
+        f, r = r, f
+    total = 0
+    products = 0
+    get = r.get
+    for y, c in f.items():
+        c2 = get(y)
+        if c2:
+            total += c * c2
+            products += 1
+    if ops:
+        ops.add(products)
+    return total
+
+
+def _signature_pairs(
+    k: int, a: int, b: int
+) -> dict[tuple[bool, ...], list[tuple[tuple[bool, ...], int]]]:
+    """The halves' signatures for every low/high pattern of the k positions
+    with a high one, split at its first high position: sig_f -> [(sig_r,
+    patterns)].
+
+    Patterns that differ only in how many low positions precede the first
+    high one share a pair; the pair is joined once and weighted by their
+    number.
     """
-    wl, wa = _weight_sides(pair, reverse)
-    if cherries is None:
-        cherries = _cherry_adjacency(wl, wa, ops)
-    base, partners = cherries
-    tables: dict[int, dict[tuple[int, int], int]] = {1: base}
-    for r in range(2, r_max + 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (x, v), wt in tables[r - 1].items():
-            if indeg[v] > delta:
-                continue
-            hits = partners.get(v)
-            if not hits:
-                continue
-            if ops:
-                ops.add(len(hits))
-            for y, cw in hits:
-                key = (x, y)
-                val = wt * cw
-                got = nxt.get(key)
-                nxt[key] = val if got is None else got + val
-        tables[r] = nxt
+    weights: dict[tuple[tuple[bool, ...], tuple[bool, ...]], int] = {}
+    for pattern in product((False, True), repeat=k):
+        if not any(pattern):
+            continue
+        anchor = pattern.index(True)
+        sig_f = tuple(pattern[(anchor + t) % k] for t in range(1, a + 1))
+        sig_r = tuple(pattern[(anchor - t) % k] for t in range(1, b + 1))
+        weights[sig_f, sig_r] = weights.get((sig_f, sig_r), 0) + 1
+    by_forward: dict[tuple[bool, ...], list[tuple[tuple[bool, ...], int]]] = {}
+    for (sig_f, sig_r), weight in weights.items():
+        by_forward.setdefault(sig_f, []).append((sig_r, weight))
+    return by_forward
+
+
+def _closed_walks(k: int, high: list[bool], fwd, rev, step, ops: OpCounter | None) -> int:
+    """Weighted count of closed k-walks in a relation, anchor by anchor.
+
+    ``fwd`` and ``rev`` are the (low, high) out-lists of the relation and
+    of its transpose, split by target status; ``rev`` is None when the
+    relation is symmetric.  ``step(row, lists, ops)`` moves a row
+    {y: weight} one step along lists.  Each anchor joins a floor(k/2)-step
+    forward row with a ceil(k/2)-step backward row over their endpoints.
+    """
+    a = k // 2
+    b = k - a
+    fwd_low = fwd[0]
+    rev_low = fwd_low if rev is None else rev[0]
+
+    # Closed walks through low vertices only, anchored at position 0.
+    total = 0
+    for x, is_high in enumerate(high):
+        if is_high or not fwd_low[x]:
+            continue
+        f = {x: 1}
+        for _ in range(a):
+            f = step(f, fwd_low, ops)
+        if not f:
+            continue
+        if rev is None:
+            # Symmetric: the backward row is the forward row, plus one
+            # step at odd k.
+            r = step(f, fwd_low, ops) if b > a else f
+        else:
+            r = {x: 1}
+            for _ in range(b):
+                r = step(r, rev_low, ops)
+        total += _join(f, r, ops)
+
+    # Closed walks through a high vertex, anchored at the first one.
+    pairs = _signature_pairs(k, a, b)
+    for x, is_high in enumerate(high):
+        if not is_high:
+            continue
+        fs: dict[tuple[bool, ...], dict[int, int]] = {(): {x: 1}}
+        for _ in range(a):
+            fs = _extend_signed(fs, fwd, step, ops)
+        if rev is None:
+            rs = _extend_signed(fs, fwd, step, ops) if b > a else fs
+        else:
+            rs = {(): {x: 1}}
+            for _ in range(b):
+                rs = _extend_signed(rs, rev, step, ops)
+        for sig_f, f in fs.items():
+            for sig_r, weight in pairs.get(sig_f, ()):
+                r = rs.get(sig_r)
+                if r:
+                    total += weight * _join(f, r, ops)
+    return total
+
+
+def _low_tables(lists, r_max: int, step, ops: OpCounter | None):
+    """{r: {(x, y): weight}} of r-step walks whose interior vertices are
+    low, for r = 1..r_max; the endpoints are unconstrained.  Assembled
+    from one row per start vertex."""
+    low, high_lists = lists
+    tables: dict[int, dict[tuple[int, int], int]] = {r: {} for r in range(1, r_max + 1)}
+    for x in range(len(low)):
+        row = {x: 1}
+        for r in range(1, r_max + 1):
+            tab = tables[r]
+            for y, c in step(row, high_lists, ops).items():
+                tab[(x, y)] = c
+            row = step(row, low, ops)
+            for y, c in row.items():
+                tab[(x, y)] = c
     return tables
 
 
-def _high_tables(
-    pair: WalkPair,
-    r_max: int,
-    delta: int,
-    indeg: list[int],
-    reverse: bool,
-    ops: OpCounter | None = None,
-    cherries=None,
-) -> dict[int, dict[tuple[bool, ...], dict[tuple[int, int], int]]]:
-    """High path tables for r = 1..r_max, keyed by sink signature.
-
-    Every stored pair (x, y) has in-degree(x) > delta; the signature pins
-    the low/high status of all later sinks including the far endpoint y.
-    """
-    wl, wa = _weight_sides(pair, reverse)
-    if cherries is None:
-        cherries = _cherry_adjacency(wl, wa, ops)
-    cherry_table, partners = cherries
-    base: dict[tuple[bool, ...], dict[tuple[int, int], int]] = {}
-    for (x, y), weight in cherry_table.items():
-        if indeg[x] <= delta:
+def _high_tables(high: list[bool], lists, r_max: int, step, ops: OpCounter | None):
+    """{r: {sig: {(x, y): weight}}} of r-step walks from high anchors x,
+    keyed by the low/high pattern of every later position including the
+    far endpoint.  Assembled from each high anchor's signature rows."""
+    levels: dict[int, dict[tuple[bool, ...], dict[tuple[int, int], int]]] = {
+        r: {} for r in range(1, r_max + 1)
+    }
+    for x, is_high in enumerate(high):
+        if not is_high:
             continue
-        sig = (indeg[y] > delta,)
-        tab = base.setdefault(sig, {})
-        tab[(x, y)] = weight
-        if ops:
-            ops.add()
-    levels = {1: base}
-    for r in range(2, r_max + 1):
-        nxt_level: dict[tuple[bool, ...], dict[tuple[int, int], int]] = {}
-        tabs_by_sig: dict[tuple[tuple[bool, ...], bool], dict] = {}
-        for sig, prev in levels[r - 1].items():
-            for (x, v), wt in prev.items():
-                hits = partners.get(v)
-                if not hits:
-                    continue
-                if ops:
-                    ops.add(len(hits))
-                for y, cw in hits:
-                    ybit = indeg[y] > delta
-                    tab = tabs_by_sig.get((sig, ybit))
-                    if tab is None:
-                        tab = nxt_level.setdefault(sig + (ybit,), {})
-                        tabs_by_sig[(sig, ybit)] = tab
-                    key = (x, y)
-                    val = wt * cw
-                    got = tab.get(key)
-                    tab[key] = val if got is None else got + val
-        levels[r] = nxt_level
+        rows: dict[tuple[bool, ...], dict[int, int]] = {(): {x: 1}}
+        for r in range(1, r_max + 1):
+            rows = _extend_signed(rows, lists, step, ops)
+            for sig, row in rows.items():
+                tab = levels[r].setdefault(sig, {})
+                for y, c in row.items():
+                    tab[(x, y)] = c
     return levels
+
+
+def _cherry_relation(pair: WalkPair, delta: int, ops: OpCounter | None):
+    """High flags of the sinks (in-degree above ``delta``) and the cherry
+    relation's partner lists."""
+    high = [d > delta for d in union_in_degrees(pair)]
+    return high, _cherry_adjacency(pair.along, pair.against, ops)[1]
 
 
 def path_table_low(
@@ -196,10 +293,10 @@ def path_table_low(
     """Endpoint weights of alternating-path maps with low interior sinks."""
     if r < 1:
         raise GraphError("path parameter r must be >= 1")
-    pair = as_pair(w)
-    indeg = union_in_degrees(pair)
-    tables = _low_tables(pair, r, delta, indeg, reverse, ops)
-    return PathTable(kind="low", r=r, threshold=delta, entries=tables[r])
+    high, partners = _cherry_relation(as_pair(w), delta, ops)
+    lists = _weighted_split(partners, high, reverse)
+    entries = _low_tables(lists, r, _weighted_step, ops)[r]
+    return PathTable(kind="low", r=r, threshold=delta, entries=entries)
 
 
 def path_table_high(
@@ -216,32 +313,10 @@ def path_table_high(
     sig = signature if isinstance(signature, DegreeSignature) else DegreeSignature(tuple(signature))
     if sig.r != r:
         raise GraphError(f"signature covers {sig.r} sinks, path needs {r}")
-    pair = as_pair(w)
-    indeg = union_in_degrees(pair)
-    levels = _high_tables(pair, r, delta, indeg, reverse, ops)
-    entries = levels[r].get(sig.high, {})
+    high, partners = _cherry_relation(as_pair(w), delta, ops)
+    lists = _weighted_split(partners, high, reverse)
+    entries = _high_tables(high, lists, r, _weighted_step, ops)[r].get(sig.high, {})
     return PathTable(kind="high", r=r, threshold=delta, entries=entries, signature=sig)
-
-
-def _join(
-    t1: dict[tuple[int, int], int],
-    t2: dict[tuple[int, int], int],
-    ops: OpCounter | None,
-    endpoint_filter=None,
-) -> int:
-    if len(t2) < len(t1):
-        t1, t2 = t2, t1
-    total = 0
-    for key, w1 in t1.items():
-        w2 = t2.get(key)
-        if w2 is None:
-            continue
-        if endpoint_filter is not None and not endpoint_filter(key):
-            continue
-        total += w1 * w2
-        if ops:
-            ops.add()
-    return total
 
 
 def hom_alt_cycle_comb(
@@ -252,9 +327,10 @@ def hom_alt_cycle_comb(
 ) -> int:
     """Total weight of homomorphisms from the alternating 2l-cycle.
 
-    ``half_length`` is l, the number of sources (= sinks).  The threshold
+    ``half_length`` is l, the number of sources (= sinks): the count is the
+    weighted count of closed l-walks in the cherry relation.  The threshold
     defaults to ceil(n ** (1 / ceil(l/2))), which balances the low and high
-    table costs.
+    row costs.
     """
     ell = half_length
     if ell < 2:
@@ -263,47 +339,12 @@ def hom_alt_cycle_comb(
     n = pair.vertex_count
     if n == 0:
         return 0
-    indeg = union_in_degrees(pair)
     if delta is None:
         delta = max(1, integer_ceil_root(n, (ell + 1) // 2))
-    a = ell // 2
-    b = ell - a
-
-    symmetric = pair.along is pair.against
-    wl_ccw, wa_ccw = _weight_sides(pair, True)
-    cherries_ccw = _cherry_adjacency(wl_ccw, wa_ccw, ops)
-    low_ccw = _low_tables(pair, b, delta, indeg, True, ops, cherries_ccw)
-    high_ccw = _high_tables(pair, b, delta, indeg, True, ops, cherries_ccw)
-    if symmetric:
-        low_cw, high_cw = low_ccw, high_ccw
-    else:
-        wl_cw, wa_cw = _weight_sides(pair, False)
-        cherries_cw = _cherry_adjacency(wl_cw, wa_cw, ops)
-        low_cw = _low_tables(pair, a, delta, indeg, False, ops, cherries_cw)
-        high_cw = _high_tables(pair, a, delta, indeg, False, ops, cherries_cw)
-
-    def low_endpoints(key: tuple[int, int]) -> bool:
-        x, y = key
-        return indeg[x] <= delta and indeg[y] <= delta
-
-    total = _join(low_cw[a], low_ccw[b], ops, low_endpoints)
-
-    high_a = high_cw[a]
-    high_b = high_ccw[b]
-    for pattern in product((False, True), repeat=ell):
-        if not any(pattern):
-            continue
-        anchor = pattern.index(True)
-        sig_cw = tuple(pattern[(anchor + t) % ell] for t in range(1, a + 1))
-        sig_ccw = tuple(pattern[(anchor - t) % ell] for t in range(1, b + 1))
-        t_cw = high_a.get(sig_cw)
-        if not t_cw:
-            continue
-        t_ccw = high_b.get(sig_ccw)
-        if not t_ccw:
-            continue
-        total += _join(t_cw, t_ccw, ops)
-    return total
+    high, partners = _cherry_relation(pair, delta, ops)
+    fwd = _weighted_split(partners, high)
+    rev = None if pair.along is pair.against else _weighted_split(partners, high, True)
+    return _closed_walks(ell, high, fwd, rev, _weighted_step, ops)
 
 
 def hom_two_paths(

@@ -17,7 +17,9 @@ pairs.
   are keyed by the low/high signature of their positions, so that the join
   knows the whole cycle pattern.
 
-With delta = ceil(m ** (1 / ceil(k/2))) this takes about
+This is ``comb._closed_walks``, the engine the degenerate pipeline runs on
+its weighted cherry relation; here each step moves along an unweighted
+adjacency list.  With delta = ceil(m ** (1 / ceil(k/2))) this takes about
 m**(2 - 1/ceil(k/2)) time.  A digraph is first cut to its cycle core
 (graphs.cycle_core): a vertex with no surviving in-arc or out-arc lies on
 no closed walk.  An undirected graph is not pruned, since closed walks
@@ -29,9 +31,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import product
 
-from .comb import integer_ceil_root
+from .comb import _closed_walks, _high_tables, _low_tables, integer_ceil_root
 from .graphs import Digraph, Graph, GraphError, cycle_core
 from .ops import OpCounter
 
@@ -81,94 +82,6 @@ def _extend(row: dict[int, int], adj, ops: OpCounter | None) -> dict[int, int]:
     return nxt
 
 
-def _extend_signed(
-    rows: dict[tuple[bool, ...], dict[int, int]],
-    low_adj: list[list[int]],
-    high_adj: list[list[int]],
-    ops: OpCounter | None,
-) -> dict[tuple[bool, ...], dict[int, int]]:
-    """One step of signature-keyed rows; the signature gains the new
-    endpoint's high flag."""
-    nxt: dict[tuple[bool, ...], dict[int, int]] = {}
-    for sig, row in rows.items():
-        for flag, adj in ((False, low_adj), (True, high_adj)):
-            stepped = _extend(row, adj, ops)
-            if stepped:
-                nxt[sig + (flag,)] = stepped
-    return nxt
-
-
-def _join(f: dict[int, int], r: dict[int, int], ops: OpCounter | None) -> int:
-    """Sum over common endpoints of the product of the two rows' counts."""
-    if len(r) < len(f):
-        f, r = r, f
-    total = 0
-    products = 0
-    get = r.get
-    for y, c in f.items():
-        c2 = get(y)
-        if c2:
-            total += c * c2
-            products += 1
-    if ops:
-        ops.add(products)
-    return total
-
-
-def _low_tables(
-    adj,
-    deg: list[int],
-    r_max: int,
-    delta: int,
-    ops: OpCounter | None,
-) -> dict[int, dict[tuple[int, int], int]]:
-    """Counts of r-edge walks keyed by endpoints, interior vertices low.
-
-    Positions 1..r-1 of the walk must have degree <= delta; the endpoints
-    are unconstrained.  Assembled from one row per start vertex.
-    """
-    low_adj, high_adj = _split(adj, [d > delta for d in deg])
-    tables: dict[int, dict[tuple[int, int], int]] = {r: {} for r in range(1, r_max + 1)}
-    for x in range(len(adj)):
-        row = {x: 1}
-        for r in range(1, r_max + 1):
-            tab = tables[r]
-            for y, c in _extend(row, high_adj, ops).items():
-                tab[(x, y)] = c
-            row = _extend(row, low_adj, ops)
-            for y, c in row.items():
-                tab[(x, y)] = c
-    return tables
-
-
-def _high_tables(
-    adj,
-    deg: list[int],
-    r_max: int,
-    delta: int,
-    ops: OpCounter | None,
-) -> dict[int, dict[tuple[bool, ...], dict[tuple[int, int], int]]]:
-    """Walk counts from high-degree anchors, keyed by the low/high pattern
-    of every later position including the far endpoint.  Assembled from
-    each high anchor's signature rows."""
-    high = [d > delta for d in deg]
-    low_adj, high_adj = _split(adj, high)
-    levels: dict[int, dict[tuple[bool, ...], dict[tuple[int, int], int]]] = {
-        r: {} for r in range(1, r_max + 1)
-    }
-    for x in range(len(adj)):
-        if not high[x]:
-            continue
-        rows: dict[tuple[bool, ...], dict[int, int]] = {(): {x: 1}}
-        for r in range(1, r_max + 1):
-            rows = _extend_signed(rows, low_adj, high_adj, ops)
-            for sig, row in rows.items():
-                tab = levels[r].setdefault(sig, {})
-                for y, c in row.items():
-                    tab[(x, y)] = c
-    return levels
-
-
 def path_table_general(
     g: Graph | Digraph,
     r: int,
@@ -188,39 +101,15 @@ def path_table_general(
     if r < 1:
         raise GraphError("path parameter r must be >= 1")
     deg, fwd, rev, _ = _adjacency(g, core=False)
-    adj = rev if reverse else fwd
+    high = [d > delta for d in deg]
+    lists = _split(rev if reverse else fwd, high)
     if mode == "low":
-        return _low_tables(adj, deg, r, delta, ops)[r]
+        return _low_tables(lists, r, _extend, ops)[r]
     if mode != "high":
         raise GraphError(f"unknown mode {mode!r}")
     if signature is None or len(signature) != r:
         raise GraphError(f"high mode needs a signature of length {r}")
-    return _high_tables(adj, deg, r, delta, ops)[r].get(tuple(signature), {})
-
-
-def _signature_pairs(
-    k: int, a: int, b: int
-) -> dict[tuple[bool, ...], list[tuple[tuple[bool, ...], int]]]:
-    """The halves' signatures for every low/high pattern of the k positions
-    with a high one, split at its first high position: sig_f -> [(sig_r,
-    patterns)].
-
-    Patterns that differ only in how many low positions precede the first
-    high one share a pair; the pair is joined once and weighted by their
-    number.
-    """
-    weights: dict[tuple[tuple[bool, ...], tuple[bool, ...]], int] = {}
-    for pattern in product((False, True), repeat=k):
-        if not any(pattern):
-            continue
-        anchor = pattern.index(True)
-        sig_f = tuple(pattern[(anchor + t) % k] for t in range(1, a + 1))
-        sig_r = tuple(pattern[(anchor - t) % k] for t in range(1, b + 1))
-        weights[sig_f, sig_r] = weights.get((sig_f, sig_r), 0) + 1
-    by_forward: dict[tuple[bool, ...], list[tuple[tuple[bool, ...], int]]] = {}
-    for (sig_f, sig_r), weight in weights.items():
-        by_forward.setdefault(sig_f, []).append((sig_r, weight))
-    return by_forward
+    return _high_tables(high, lists, r, _extend, ops)[r].get(tuple(signature), {})
 
 
 def hom_cycle_general(
@@ -236,57 +125,13 @@ def hom_cycle_general(
     if k < 3:
         raise GraphError("cycle length must be >= 3")
     deg, fwd, rev, directed = _adjacency(g, core=True)
-    n = len(deg)
     m = sum(deg) // 2
     if m == 0:
         return 0
     delta = max(1, integer_ceil_root(m, (k + 1) // 2))
-    a = k // 2
-    b = k - a
     high = [d > delta for d in deg]
-    fwd_low, fwd_high = _split(fwd, high)
-    rev_low, rev_high = _split(rev, high) if directed else (fwd_low, fwd_high)
-
-    # Closed walks through low vertices only, anchored at position 0.
-    total = 0
-    for x in range(n):
-        if high[x] or not deg[x]:
-            continue
-        f = {x: 1}
-        for _ in range(a):
-            f = _extend(f, fwd_low, ops)
-        if not f:
-            continue
-        if directed:
-            r = {x: 1}
-            for _ in range(b):
-                r = _extend(r, rev_low, ops)
-        else:
-            # Undirected: the backward row is the forward row, plus one
-            # step at odd k.
-            r = _extend(f, fwd_low, ops) if b > a else f
-        total += _join(f, r, ops)
-
-    # Closed walks through a high vertex, anchored at the first one.
-    pairs = _signature_pairs(k, a, b)
-    for x in range(n):
-        if not high[x]:
-            continue
-        fs: dict[tuple[bool, ...], dict[int, int]] = {(): {x: 1}}
-        for _ in range(a):
-            fs = _extend_signed(fs, fwd_low, fwd_high, ops)
-        if directed:
-            rs: dict[tuple[bool, ...], dict[int, int]] = {(): {x: 1}}
-            for _ in range(b):
-                rs = _extend_signed(rs, rev_low, rev_high, ops)
-        else:
-            rs = _extend_signed(fs, fwd_low, fwd_high, ops) if b > a else fs
-        for sig_f, f in fs.items():
-            for sig_r, weight in pairs.get(sig_f, ()):
-                r = rs.get(sig_r)
-                if r:
-                    total += weight * _join(f, r, ops)
-    return total
+    rev_lists = _split(rev, high) if directed else None
+    return _closed_walks(k, high, _split(fwd, high), rev_lists, _extend, ops)
 
 
 def default_repetitions(k: int, delta: float = 0.05) -> int:

@@ -176,3 +176,32 @@ def test_cli_import_leaves_numpy_out():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("value", ["two", "-1", "0", "1.5"])
+def test_detect_rejects_malformed_thread_count(tmp_path, capsys, monkeypatch, value):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("CYCLEHOM_THREADS", value)
+    path = write(tmp_path, "tri.txt", "0 1\n1 2\n2 0\n")
+    code = main(["detect", "--k", "3", "--directed", "--input", path, "--seed", "9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "CYCLEHOM_THREADS" in lines[0]
+
+
+def test_detect_empty_thread_count_runs_serially(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CYCLEHOM_THREADS", "")
+    path = write(tmp_path, "tri.txt", "0 1\n1 2\n2 0\n")
+    code, report = run_cli(
+        capsys, ["detect", "--k", "3", "--directed", "--input", path, "--seed", "9"]
+    )
+    assert code == 0
+    assert report["found"] is True
+    assert report["workers"] == 1

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -11,8 +12,9 @@ from cyclehom.comb import (
     path_table_low,
 )
 from cyclehom.graphs import Digraph, GraphError
+from cyclehom.matmul import hom_alt_cycle_matmul
 from cyclehom.oracle import hom_count_brute
-from cyclehom.walks import build_walk_weights
+from cyclehom.walks import WalkPair, build_walk_weights, union_in_degrees
 
 
 def alternating_cycle(half_length):
@@ -151,3 +153,107 @@ def test_integer_ceil_root():
         for r in (1, 2, 3):
             t = integer_ceil_root(n, r)
             assert t**r >= n and (t == 1 or (t - 1) ** r < n)
+
+
+def random_pair(rng, n, symmetric):
+    """A WalkPair over small random DAGs; the along side carries 2-walks so
+    that weights exceed 1."""
+    along = build_walk_weights(random_dag(rng, n, 0.5), 2)
+    if symmetric:
+        return WalkPair(along=along, against=along)
+    return WalkPair(along=along, against=build_walk_weights(random_dag(rng, n, 0.5), 1))
+
+
+def brute_alternating_paths(pair, r, reverse):
+    """Every alternating path map with r sources, as (sink images, weight).
+
+    Consecutive sinks s, t share a source c with against(c, s) and
+    along(c, t); ``reverse`` swaps the two sides."""
+    along, against = pair.along.ring_view, pair.against.ring_view
+    if reverse:
+        along, against = against, along
+    n = pair.vertex_count
+    paths = []
+
+    def grow(sinks, weight):
+        if len(sinks) == r + 1:
+            paths.append((tuple(sinks), weight))
+            return
+        for c in range(n):
+            wa = against.get((c, sinks[-1]))
+            if not wa:
+                continue
+            for t in range(n):
+                wl = along.get((c, t))
+                if wl:
+                    grow(sinks + [t], weight * wa * wl)
+
+    for s in range(n):
+        grow([s], 1)
+    return paths
+
+
+def brute_alternating_table(pair, paths, delta, signature=None):
+    """Endpoint weights of ``paths``: low interior sinks, or a high start
+    and the given low/high signature over the later sinks."""
+    n = pair.vertex_count
+    arcs = set(pair.along.ring_view) | set(pair.against.ring_view)
+    indeg = [sum(1 for _, v in arcs if v == x) for x in range(n)]
+    table = {}
+    for sinks, weight in paths:
+        high = tuple(indeg[s] > delta for s in sinks)
+        if signature is None:
+            ok = not any(high[1:-1])
+        else:
+            ok = high[0] and high[1:] == tuple(signature)
+        if ok:
+            key = (sinks[0], sinks[-1])
+            table[key] = table.get(key, 0) + weight
+    return table
+
+
+def test_path_tables_match_brute_alternating_paths():
+    rng = random.Random(15)
+    for trial in range(12):
+        pair = random_pair(rng, rng.randint(2, 6), symmetric=trial % 2 == 0)
+        for reverse in (False, True):
+            for r in (1, 2, 3):
+                paths = brute_alternating_paths(pair, r, reverse)
+                for delta in (0, 1, 2, 3, 10):
+                    got = path_table_low(pair, r, delta, reverse=reverse).entries
+                    assert got == brute_alternating_table(pair, paths, delta)
+                    for signature in product((False, True), repeat=r):
+                        got = path_table_high(pair, r, delta, signature, reverse=reverse)
+                        assert got.entries == brute_alternating_table(
+                            pair, paths, delta, signature
+                        )
+
+
+def hub_dag(rng, n, hubs):
+    """A sparse random DAG (arcs point to larger ids) whose ``hubs`` sinks
+    each receive arcs from about half the vertices below them."""
+    arcs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.08}
+    for h in hubs:
+        arcs |= {(i, h) for i in range(h) if rng.random() < 0.5}
+    return Digraph.from_arcs(n, sorted(arcs))
+
+
+def test_hom_asymmetric_pairs_with_hubs():
+    rng = random.Random(16)
+    n = 36
+    for _ in range(3):
+        pair = WalkPair(
+            along=build_walk_weights(hub_dag(rng, n, (n - 1, n - 3)), 2),
+            against=build_walk_weights(hub_dag(rng, n, (n - 2, n - 5)), 1),
+        )
+        assert pair.along is not pair.against
+        indeg = union_in_degrees(pair)
+        for ell in (2, 3, 4, 5):
+            default = max(1, integer_ceil_root(n, (ell + 1) // 2))
+            if ell > 2:  # at l = 2 the default threshold is n itself
+                assert max(indeg) > default
+            reference = hom_alt_cycle_matmul(pair, ell)
+            assert reference > 0
+            for delta in (1, 2, 3, default, 10**6):
+                assert hom_alt_cycle_comb(pair, ell, delta=delta) == reference
+            assert hom_alt_cycle_comb(pair, ell) == reference
