@@ -175,10 +175,27 @@ def _vector_objective(coords: list[np.ndarray], k: int, omega: float) -> np.ndar
     return obj
 
 
+_GRID_BUDGET = 60_000_000
+
+
+def _grid(k: int, step: Fraction) -> tuple[list[Fraction], int]:
+    """The exponent grid {0, step, ..., 1} and the number of points the
+    scan over k coordinates evaluates, the first fixed as the minimum."""
+    step = Fraction(step)
+    if step <= 0:
+        raise GraphError("grid step must be positive")
+    m = int(Fraction(1) / step)
+    values = [step * i for i in range(m + 1)]
+    if values[-1] != 1:
+        values.append(Fraction(1))
+    npts = len(values)
+    return values, sum((npts - i) ** (k - 1) for i in range(npts))
+
+
 def cost_model_ck(
     k: int,
     cp: CostParams,
-    budget: int = 60_000_000,
+    budget: int = _GRID_BUDGET,
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Maximize the chain objective over the exponent grid {0, step, ..., 1}.
 
@@ -191,15 +208,8 @@ def cost_model_ck(
 
     if k < 2:
         raise GraphError("cost model needs k >= 2")
-    step = Fraction(cp.grid_step)
-    if step <= 0:
-        raise GraphError("grid step must be positive")
-    m = int(Fraction(1) / step)
-    values = [step * i for i in range(m + 1)]
-    if values[-1] != 1:
-        values.append(Fraction(1))
+    values, total = _grid(k, cp.grid_step)
     npts = len(values)
-    total = sum((npts - i) ** (k - 1) for i in range(npts))
     if total > budget:
         raise GraphError(
             f"cost-model grid has {total} points, over the budget of {budget}"

@@ -30,7 +30,13 @@ from .graphs import (
     orient_acyclic,
     split_by_ordering,
 )
-from .matmul import CostParams, cost_model_ck, hom_alt_cycle_matmul
+from .matmul import (
+    _GRID_BUDGET,
+    CostParams,
+    _grid,
+    cost_model_ck,
+    hom_alt_cycle_matmul,
+)
 from .ops import OpCounter
 from .ring import coefficient
 from .walks import POLYNOMIAL, WalkPair, build_walk_weights, restrict_view
@@ -51,7 +57,8 @@ def _engine_for(p: int, cp: CostParams) -> str:
     At omega = 3 a dense product costs its classical exponent, and the
     model's c_p is at least comb's 2 - 1/ceil(p/2) at every p it can
     evaluate (p = 2..6), so the grid search is skipped: at p = 6 it takes
-    about 26 s, and from p = 7 on it exceeds its point budget.
+    about 26 s.  From p = 7 on the grid exceeds the cost model's point
+    budget, and comb is returned without a search at any omega.
     """
     if cp.omega == 3:
         return "comb"
@@ -59,9 +66,12 @@ def _engine_for(p: int, cp: CostParams) -> str:
     got = _AUTO_CACHE.get(key)
     if got is None:
         coarse = CostParams(omega=cp.omega, grid_step=Fraction(1, 20))
-        ck, _ = cost_model_ck(p, coarse)
-        comb_exp = Fraction(2) - Fraction(1, (p + 1) // 2)
-        got = "matmul" if ck < comb_exp else "comb"
+        if _grid(p, coarse.grid_step)[1] > _GRID_BUDGET:
+            got = "comb"
+        else:
+            ck, _ = cost_model_ck(p, coarse)
+            comb_exp = Fraction(2) - Fraction(1, (p + 1) // 2)
+            got = "matmul" if ck < comb_exp else "comb"
         _AUTO_CACHE[key] = got
     return got
 

@@ -1,5 +1,6 @@
 import random
 import warnings
+from itertools import combinations
 
 import pytest
 
@@ -345,3 +346,154 @@ def test_transversal_count_skips_dag_terms():
         positive += expected > 0
     assert calls and not any(calls)
     assert positive > 5
+
+
+def _part_graph_shapes(rng, p):
+    """Part-graph edge lists on p parts, one per shape, by name."""
+    cycle = [(i, (i + 1) % p) for i in range(p)]
+    shapes = {
+        "cycle": cycle,
+        "path": cycle[:-1],
+        "star": [(0, i) for i in range(1, p)],
+        "random": [
+            (i, j) for i in range(p) for j in range(i + 1, p) if rng.random() < 0.5
+        ],
+    }
+    if p >= 4:
+        shapes["cycle plus chord"] = cycle + [(0, 2)]
+    if p >= 5:
+        # triangle 0-1-2 and cycle 0-3-...-(p-1), sharing part 0
+        shapes["two cycles"] = [(0, 1), (1, 2), (2, 0), (0, 3)] + [
+            (i, (i + 1) % p) for i in range(3, p)
+        ]
+    return shapes
+
+
+def partitioned_on_part_graph(rng, p, part_edges, directed):
+    """Parts of 1-3 vertices, edges only between parts adjacent in
+    ``part_edges`` (each such pair joined at least once), and now and then
+    an edge inside a part."""
+    parts, n = [], 0
+    for _ in range(p):
+        size = rng.randint(1, 3)
+        parts.append(tuple(range(n, n + size)))
+        n += size
+    pairs = set()
+    for i, j in part_edges:
+        joins = [(u, v) for u in parts[i] for v in parts[j] if rng.random() < 0.6]
+        joins = joins or [(rng.choice(parts[i]), rng.choice(parts[j]))]
+        for u, v in joins:
+            if not directed:
+                pairs.add((min(u, v), max(u, v)))
+                continue
+            if rng.random() < 0.7:
+                pairs.add((u, v))
+            if rng.random() < 0.5 or (v, u) not in pairs and (u, v) not in pairs:
+                pairs.add((v, u))
+    for part in parts:
+        if len(part) >= 2 and rng.random() < 0.3:
+            pairs.add((part[0], part[1]))
+    pairs = sorted(pairs)
+    graph = Digraph.from_arcs(n, pairs) if directed else Graph.from_edges(n, pairs)
+    return PartitionedGraph(graph, tuple(parts))
+
+
+def test_transversal_count_on_each_part_graph_shape():
+    # The terms kept are the part sets connected and dominating in the
+    # part graph; each shape drops a different share of the subsets.
+    rng = random.Random(57)
+    positive = {}
+    for directed in (False, True):
+        for _ in range(12):
+            p = rng.randint(3, 7)
+            for name, part_edges in _part_graph_shapes(rng, p).items():
+                pg = partitioned_on_part_graph(rng, p, part_edges, directed)
+                expected = brute_transversal_homs(pg)
+                got = transversal_count(pg).hom_transversals
+                assert got == expected, (name, directed, p)
+                positive[name] = positive.get(name, 0) + (expected > 0)
+    # Two cycles sharing a part have no cycle through every part.
+    assert positive["two cycles"] == positive["path"] == positive["star"] == 0
+    for name in ("cycle", "cycle plus chord", "random"):
+        assert positive[name] > 2, name
+
+
+def _recording_terms(monkeypatch):
+    """Patch ``_induced_subgraph`` so that an engine can read which parts
+    its term keeps; returns (engine, the recorded part tuples)."""
+    last, calls = [], []
+    induced = cyclehom.detect._induced_subgraph
+
+    def recording_induced(pg, keep, edges):
+        last[:] = [keep]
+        return induced(pg, keep, edges)
+
+    def engine(g, p):
+        calls.append(last[0])
+        return hom_cycle_degenerate(g, p)
+
+    monkeypatch.setattr(cyclehom.detect, "_induced_subgraph", recording_induced)
+    return engine, calls
+
+
+def _part_neighbours(pg):
+    part_of = {v: i for i, part in enumerate(pg.parts) for v in part}
+    g = pg.graph
+    pairs = g.arcs() if isinstance(g, Digraph) else g.edges()
+    nbrs = [set() for _ in range(pg.part_count)]
+    for u, v in pairs:
+        if part_of[u] != part_of[v]:
+            nbrs[part_of[u]].add(part_of[v])
+            nbrs[part_of[v]].add(part_of[u])
+    return nbrs
+
+
+def test_gadget_terms_are_connected_and_dominating(monkeypatch):
+    # Every arc runs from class i to class i + 1, so the k = 4 gadget's
+    # core meets all 8 parts and its part graph is the 8-cycle.
+    k = 4
+    n = 8
+    cls = [v % k for v in range(n)]
+    d = Digraph.from_arcs(
+        n, [(u, v) for u in range(n) for v in range(n) if cls[v] == (cls[u] + 1) % k]
+    )
+    partition = tuple(tuple(v for v in range(n) if cls[v] == i) for i in range(k))
+    pg = build_detection_gadget(d, k, partition).partitioned
+    p = pg.part_count
+    engine, calls = _recording_terms(monkeypatch)
+    homs = transversal_count(pg, hom_engine=engine).hom_transversals
+    assert homs == 2 * (2 * k) * count_consistent_directed_cycles(d, cls, k) > 0
+    assert 0 < len(calls) <= 2 * p + 1
+    nbrs = _part_neighbours(pg)
+    assert all(len(nbrs[i]) == 2 for i in range(p))
+    for keep in calls:
+        reach, frontier = {keep[0]}, [keep[0]]
+        while frontier:
+            for j in nbrs[frontier.pop()] & set(keep) - reach:
+                reach.add(j)
+                frontier.append(j)
+        assert reach == set(keep), keep
+        assert set(keep).union(*(nbrs[i] for i in keep)) == set(range(p)), keep
+
+
+def test_complete_part_graph_keeps_every_term(monkeypatch):
+    # On a complete part graph every part set is connected and dominating,
+    # so every subset of two or more parts (each keeps an edge) is counted.
+    rng = random.Random(58)
+    p = 5
+    part_edges = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    pg = partitioned_on_part_graph(rng, p, part_edges, directed=False)
+    engine, calls = _recording_terms(monkeypatch)
+    assert transversal_count(pg, hom_engine=engine).hom_transversals == (
+        brute_transversal_homs(pg)
+    )
+    assert sorted(calls) == sorted(
+        keep for size in range(2, p + 1) for keep in combinations(range(p), size)
+    )
+
+
+def test_gadget_rejects_out_of_range_vertices():
+    d3 = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    for partition in (((0,), (1,), (2, 5)), ((0,), (1,), (2, -1)), ((0,), (1, 1), (2,))):
+        with pytest.raises(GraphError):
+            build_detection_gadget(d3, 3, partition)

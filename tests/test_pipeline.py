@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from cyclehom.graphs import Digraph, Graph, GraphError, parse_graph
+from cyclehom.matmul import CostParams, cost_model_ck
 from cyclehom.oracle import enumerate_cycle_orientations, hom_count_brute, trace_power
-from cyclehom.pipeline import hom_cycle_degenerate
+from cyclehom.pipeline import _engine_for, hom_cycle_degenerate
 
 
 def random_graph(rng, n, p):
@@ -126,3 +128,11 @@ def test_default_engine_long_cycle():
     # the auto planner must not run the cost-model grid at omega = 3,
     # which exceeds its point budget from base size 7 (length 14) on
     assert hom_cycle_degenerate(K3, 14) == 2**14 + 2
+
+
+def test_auto_picks_comb_when_the_cost_grid_is_over_budget():
+    # From base size 7 on the planner's grid exceeds the cost model's point
+    # budget at any omega; auto then returns comb instead of raising.
+    assert _engine_for(7, CostParams(omega=Fraction(2))) == "comb"
+    with pytest.raises(GraphError):
+        cost_model_ck(7, CostParams(omega=Fraction(2), grid_step=Fraction(1, 20)))
