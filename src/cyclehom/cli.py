@@ -60,7 +60,7 @@ def _cmd_hom_count(args) -> int:
         target: Graph | Digraph = g.to_digraph() if g.directed else g
         count = hom_cycle_general(target, args.cycle, ops=ops)
     else:
-        cp = CostParams(omega=Fraction(args.omega))
+        cp = CostParams(omega=args.omega)
         count = hom_cycle_degenerate(g, args.cycle, engine=args.engine, cp=cp, ops=ops)
     elapsed = (time.perf_counter() - started) * 1000.0
     report = {
@@ -166,7 +166,7 @@ def _cmd_degeneracy(args) -> int:
 
 
 def _cmd_cost_model(args) -> int:
-    cp = CostParams(omega=Fraction(args.omega), grid_step=Fraction(args.grid_step))
+    cp = CostParams(omega=args.omega, grid_step=args.grid_step)
     started = time.perf_counter()
     value, argmax = cost_model_ck(args.k, cp)
     elapsed = (time.perf_counter() - started) * 1000.0
@@ -249,6 +249,28 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _arg_type(convert, accept, expected: str):
+    """An argparse type that converts the text and requires ``accept`` of
+    the value; anything else is a usage error naming ``expected``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_FRACTION = _arg_type(Fraction, lambda v: True, "a fraction such as 5/2")
+_POSITIVE_FRACTION = _arg_type(Fraction, lambda v: v > 0, "a positive fraction such as 1/100")
+_PROBABILITY = _arg_type(float, lambda v: 0 < v < 1, "a number strictly between 0 and 1")
+_AT_LEAST_ONE = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclehom",
@@ -264,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine", choices=("comb", "matmul", "auto", "brute"), default="auto"
     )
-    p.add_argument("--omega", default="3", help="cost-model exponent for planning")
+    p.add_argument(
+        "--omega", type=_FRACTION, default="3", help="cost-model exponent for planning"
+    )
     p.add_argument("--count-ops", action="store_true")
     p.set_defaults(func=_cmd_hom_count)
 
@@ -274,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directed", action="store_true")
     p.add_argument("--general", action="store_true", help="layered-partition detector")
     p.add_argument("--degenerate", action="store_true", help="force the degenerate-graph detector")
-    p.add_argument("--reps", type=int, default=None)
+    p.add_argument("--reps", type=_AT_LEAST_ONE, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--delta", type=_PROBABILITY, default=0.05)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("degeneracy", help="degeneracy ordering of a graph")
@@ -285,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost-model", help="matrix-chain cost-model exponent c_k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--omega", default="2")
-    p.add_argument("--grid-step", default="1/100")
+    p.add_argument("--omega", type=_FRACTION, default="2")
+    p.add_argument("--grid-step", type=_POSITIVE_FRACTION, default="1/100")
     p.set_defaults(func=_cmd_cost_model)
 
     p = sub.add_parser("algebra", help="homomorphism-algebra demonstrations")

@@ -19,7 +19,10 @@ transpose, or the forward row again when T is symmetric) over their
 endpoints.  The caller passes the step: weighted over (target, weight)
 lists here, unweighted in ``general``.  With the threshold at
 ceil(n ** (1 / ceil(l/2))) this takes about n**(2 - 1/ceil(l/2)) time.
-The path tables are assemblies of the same rows.
+The path tables are assemblies of the same rows, kept as cross-check
+references: ``path_table_low``, ``path_table_high``, their ``PathTable``
+and ``DegreeSignature`` types and the ``_low_tables``/``_high_tables``
+builders behind them.  No engine calls them.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ class DegreeSignature:
     """Low/high pattern of the sinks of an alternating path, start excluded.
 
     ``high[t]`` is the status of the sink at path position 2(t + 2) - 1, so
-    the tuple covers positions 3, 5, ..., 2r+1 in order.
+    the tuple covers positions 3, 5, ..., 2r+1 in order.  A cross-check
+    reference: only ``path_table_high`` takes it.
     """
 
     high: tuple[bool, ...]
@@ -64,7 +68,11 @@ class DegreeSignature:
 
 @dataclass(frozen=True)
 class PathTable:
-    """Sparse endpoint-pair table of alternating-path homomorphism weights."""
+    """Sparse endpoint-pair table of alternating-path homomorphism weights.
+
+    A cross-check reference: returned by the path-table functions, which no
+    engine calls.
+    """
 
     kind: str  # "low" or "high"
     r: int
@@ -241,7 +249,8 @@ def _closed_walks(k: int, high: list[bool], fwd, rev, step, ops: OpCounter | Non
 def _low_tables(lists, r_max: int, step, ops: OpCounter | None):
     """{r: {(x, y): weight}} of r-step walks whose interior vertices are
     low, for r = 1..r_max; the endpoints are unconstrained.  Assembled
-    from one row per start vertex."""
+    from one row per start vertex.  A cross-check reference behind the
+    path-table functions; no engine calls it."""
     low, high_lists = lists
     tables: dict[int, dict[tuple[int, int], int]] = {r: {} for r in range(1, r_max + 1)}
     for x in range(len(low)):
@@ -259,7 +268,9 @@ def _low_tables(lists, r_max: int, step, ops: OpCounter | None):
 def _high_tables(high: list[bool], lists, r_max: int, step, ops: OpCounter | None):
     """{r: {sig: {(x, y): weight}}} of r-step walks from high anchors x,
     keyed by the low/high pattern of every later position including the
-    far endpoint.  Assembled from each high anchor's signature rows."""
+    far endpoint.  Assembled from each high anchor's signature rows.  A
+    cross-check reference behind the path-table functions; no engine calls
+    it."""
     levels: dict[int, dict[tuple[bool, ...], dict[tuple[int, int], int]]] = {
         r: {} for r in range(1, r_max + 1)
     }
@@ -290,7 +301,10 @@ def path_table_low(
     reverse: bool = False,
     ops: OpCounter | None = None,
 ) -> PathTable:
-    """Endpoint weights of alternating-path maps with low interior sinks."""
+    """Endpoint weights of alternating-path maps with low interior sinks.
+
+    A cross-check reference: no engine calls it.
+    """
     if r < 1:
         raise GraphError("path parameter r must be >= 1")
     high, partners = _cherry_relation(as_pair(w), delta, ops)
@@ -307,7 +321,10 @@ def path_table_high(
     reverse: bool = False,
     ops: OpCounter | None = None,
 ) -> PathTable:
-    """Endpoint weights of alternating-path maps anchored at a high sink."""
+    """Endpoint weights of alternating-path maps anchored at a high sink.
+
+    A cross-check reference: no engine calls it.
+    """
     if r < 1:
         raise GraphError("path parameter r must be >= 1")
     sig = signature if isinstance(signature, DegreeSignature) else DegreeSignature(tuple(signature))

@@ -21,7 +21,7 @@ import random
 import warnings
 from dataclasses import dataclass
 
-from .general import default_repetitions
+from .general import repetitions
 from .graphs import Digraph, Graph, GraphError, cycle_core, degeneracy_ordering
 from .pipeline import EngineError, hom_cycle_degenerate
 
@@ -248,8 +248,7 @@ def detect_directed_cycle(
     """
     if k < 3:
         raise GraphError("cycle length must be >= 3")
-    if reps is None:
-        reps = default_repetitions(k, delta)
+    reps = repetitions(k, reps, delta)
     rng = random.Random(seed)
     for _ in range(reps):
         partition = _random_partition(rng, d.vertex_count, k)
@@ -280,6 +279,7 @@ def detect_cycle_degenerate(
     """
     if k < 3:
         raise GraphError("cycle length must be >= 3")
+    reps = repetitions(k, reps, delta)
     if k < 6:
         return _find_short_cycle(g, k)
     directed = isinstance(g, Digraph) or g.directed
@@ -291,8 +291,6 @@ def detect_cycle_degenerate(
                 "the degenerate-graph detector may be slow",
                 stacklevel=2,
             )
-    if reps is None:
-        reps = default_repetitions(k, delta)
     rng = random.Random(seed)
     n = g.vertex_count
     if directed:

@@ -96,7 +96,8 @@ def path_table_general(
     ``mode`` "low" bounds the degree of interior vertices by ``delta``;
     "high" requires a high-degree start and a full low/high ``signature``
     over the remaining r positions.  ``reverse`` walks against arc
-    directions (meaningful for digraphs).
+    directions (meaningful for digraphs).  A cross-check reference: no
+    engine calls it.
     """
     if r < 1:
         raise GraphError("path parameter r must be >= 1")
@@ -136,7 +137,19 @@ def hom_cycle_general(
 
 def default_repetitions(k: int, delta: float = 0.05) -> int:
     """Repetitions for failure probability delta at the k**-k success bound."""
+    if not 0 < delta < 1:
+        raise GraphError("failure probability delta must lie in (0, 1)")
     return max(1, math.ceil(k**k * math.log(1.0 / delta)))
+
+
+def repetitions(k: int, reps: int | None, delta: float) -> int:
+    """An explicit repetition count, which must be >= 1, or the default
+    for failure probability delta."""
+    if reps is None:
+        return default_repetitions(k, delta)
+    if reps < 1:
+        raise GraphError("repetition count must be >= 1")
+    return reps
 
 
 def layered_subgraph(d: Digraph, colors: list[int], k: int) -> Digraph:
@@ -167,8 +180,7 @@ def detect_cycle_general_directed(
     """
     if k < 3:
         raise GraphError("cycle length must be >= 3")
-    if reps is None:
-        reps = default_repetitions(k, delta)
+    reps = repetitions(k, reps, delta)
     rng = random.Random(seed)
     for _ in range(reps):
         colors = [rng.randrange(k) for _ in range(d.vertex_count)]

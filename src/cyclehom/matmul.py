@@ -5,10 +5,12 @@ in-neighbor aggregates over sink pairs.  Vertices are bucketed into
 power-of-two in-degree classes; for every k-tuple of classes the cherry
 matrix restricted to consecutive classes is chained around the cycle and the
 trace of the product is accumulated.  A small exact dynamic program decides,
-per class tuple, how to evaluate the chain: extend a sparse product left or
-right by one factor, or split and multiply two dense halves.  The same
-recurrence, maximized over fractional degree-class exponents, yields the
-engine's cost-model exponent c_k.
+per class tuple, how to bracket the chain: extend a product left or right by
+one factor, or split it into two halves, pricing a split at the cost
+model's dense exponent for omega.  Execution is always classical: every
+step is one sparse row product, so the plan's only effect is the
+bracketing.  The same recurrence, maximized over fractional degree-class
+exponents, yields the engine's cost-model exponent c_k.
 """
 
 from __future__ import annotations
@@ -53,7 +55,11 @@ class EvaluationPlan:
 
 @dataclass(frozen=True)
 class CherryTable:
-    """Sparse (x, y) -> weight table of common-in-neighbor products."""
+    """Sparse (x, y) -> weight table of common-in-neighbor products.
+
+    A cross-check reference: no engine reads it; the engines consume the
+    cherry relation's partner lists from ``comb._cherry_adjacency``.
+    """
 
     entries: dict[tuple[int, int], int]
 
@@ -64,7 +70,8 @@ def build_cherry_table(
     """Aggregate w(z, x) * w(z, y) over every common in-neighbor z.
 
     One pass over vertices and out-neighbor pairs; with bounded out-degrees
-    the table has O(n) nonzero entries.  The comb engine's cherry builder.
+    the table has O(n) nonzero entries.  A cross-check reference built by
+    ``comb._cherry_adjacency``, the one cherry builder both engines share.
     """
     pair = as_pair(w)
     return CherryTable(entries=_cherry_adjacency(pair.along, pair.against, ops)[0])
@@ -77,7 +84,7 @@ def plan_matrix_chain(
 
     For every ordered pair (i, j) the predicted exponent is the least of:
     extending the (i, j-1) chain right, extending the (i+1, j) chain left,
-    or splitting at an interior r and multiplying dense halves at the cost
+    or splitting at an interior r, priced as a dense multiply at the cost
     model's exponent.  Single-step chains cost exponent 1.  The objective is
     the best closing pair, taking the worse of its two complementary chains.
     """
@@ -262,8 +269,10 @@ def hom_alt_cycle_matmul(
     """Total weight of homomorphisms from the alternating 2k-cycle.
 
     Classifies sink images by in-degree class, and for each class tuple
-    evaluates the cyclic cherry-matrix chain along its planned order,
-    closing with a sparse transposed dot product.  ``planner`` overrides
+    evaluates the cyclic cherry-matrix chain in the planned bracketing,
+    closing with a sparse trace of the two complementary segments.  Every
+    non-base step is one sparse row product at its split point: j - 1 for
+    "right", i + 1 for "left", r for ("split", r).  ``planner`` overrides
     the plan per class tuple (any valid plan gives the same count).
     """
     k = half_length
@@ -275,108 +284,49 @@ def hom_alt_cycle_matmul(
     n = pair.vertex_count
     if n <= 1:
         return 0
-    cherry = build_cherry_table(pair, ops).entries
+    partners = _cherry_adjacency(pair.along, pair.against, ops)[1]
     classes = in_degree_classes(pair)
-    if not classes or not cherry:
-        return 0
+    cls_of = {v: c for c, verts in classes.items() for v in verts}
     log2n = max(1, n.bit_length() - 1)
-    cls_of: dict[int, int] = {}
-    for c, verts in classes.items():
-        for v in verts:
-            cls_of[v] = c
 
-    # cherry entries partitioned by endpoint classes, plus one-step partner
-    # lists in both directions for the sparse extension steps
-    parts: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    right_partners: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    left_partners: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for (x, y), weight in cherry.items():
-        cx, cy = cls_of[x], cls_of[y]
-        parts.setdefault((cx, cy), {})[(x, y)] = weight
-        right_partners.setdefault(x, {}).setdefault(cy, []).append((y, weight))
-        left_partners.setdefault(y, {}).setdefault(cx, []).append((x, weight))
-
+    # cherry rows {x: {y: weight}} split by endpoint classes: the base segments
+    base: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+    for x, items in enumerate(partners):
+        for y, weight in items:
+            base.setdefault((cls_of[x], cls_of[y]), {}).setdefault(x, {})[y] = weight
     transitions: dict[int, list[int]] = {}
-    for cx, cy in parts:
+    for cx, cy in sorted(base):
         transitions.setdefault(cx, []).append(cy)
-    for lst in transitions.values():
-        lst.sort()
-
-    class_index = {
-        c: {v: i for i, v in enumerate(verts)} for c, verts in classes.items()
-    }
 
     def execute(f: tuple[int, ...], plan: EvaluationPlan) -> int:
-        memo: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+        memo: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
 
-        def chain(i: int, j: int) -> dict[tuple[int, int], int]:
+        def chain(i: int, j: int) -> dict[int, dict[int, int]]:
             got = memo.get((i, j))
-            if got is not None:
-                return got
-            pick = plan.choices[(i, j)]
-            if pick[0] == "base":
-                table = parts.get((f[i], f[j]), {})
-            elif pick[0] == "right":
-                jm = (j - 1) % k
-                prev = chain(i, jm)
-                table = {}
-                target = f[j]
-                for (x, y), wt in prev.items():
-                    hits = right_partners.get(y)
-                    if not hits:
-                        continue
-                    for y2, cw in hits.get(target, ()):
-                        key = (x, y2)
-                        val = wt * cw
-                        acc = table.get(key)
-                        table[key] = val if acc is None else acc + val
-                        if ops:
-                            ops.add()
-            elif pick[0] == "left":
-                ip = (i + 1) % k
-                prev = chain(ip, j)
-                table = {}
-                target = f[i]
-                for (x, y), wt in prev.items():
-                    hits = left_partners.get(x)
-                    if not hits:
-                        continue
-                    for x2, cw in hits.get(target, ()):
-                        key = (x2, y)
-                        val = cw * wt
-                        acc = table.get(key)
-                        table[key] = val if acc is None else acc + val
-                        if ops:
-                            ops.add()
-            else:
-                r = pick[1]
-                table = _dense_product(
-                    chain(i, r), chain(r, j),
-                    classes[f[i]], class_index[f[i]],
-                    classes[f[r]], class_index[f[r]],
-                    classes[f[j]], class_index[f[j]],
-                    ops,
-                )
-            memo[(i, j)] = table
-            return table
+            if got is None:
+                pick = plan.choices[(i, j)]
+                if pick[0] == "base":
+                    got = base.get((f[i], f[j]), {})
+                else:
+                    r = {"right": (j - 1) % k, "left": (i + 1) % k}.get(pick[0], pick[-1])
+                    got = _product(chain(i, r), chain(r, j), ops)
+                memo[(i, j)] = got
+            return got
 
         i, j = plan.closing_pair
         first = chain(i, j)
         if not first:
             return 0
         second = chain(j, i)
-        if not second:
-            return 0
-        if len(first) > len(second):
-            first, second = second, first
-            # trace(AB) = trace(BA); swapping just iterates the smaller table
-        total = 0
-        for (x, y), wt in first.items():
-            other = second.get((y, x))
-            if other is not None:
-                total += wt * other
-                if ops:
-                    ops.add()
+        total = matches = 0
+        for x, row in first.items():
+            for y, wt in row.items():
+                other = second.get(y)
+                if other is not None and x in other:
+                    total += wt * other[x]
+                    matches += 1
+        if ops:
+            ops.add(matches)
         return total
 
     total = 0
@@ -404,44 +354,26 @@ def hom_alt_cycle_matmul(
     return total
 
 
-def _dense_product(
-    left: dict[tuple[int, int], int],
-    mid_right: dict[tuple[int, int], int],
-    rows: list[int],
-    row_pos: dict[int, int],
-    mids: list[int],
-    mid_pos: dict[int, int],
-    cols: list[int],
-    col_pos: dict[int, int],
+def _product(
+    left: dict[int, dict[int, int]],
+    right: dict[int, dict[int, int]],
     ops: OpCounter | None,
-) -> dict[tuple[int, int], int]:
-    """Classical dense multiply of two sparse-stored chain segments."""
-    nr, nm, nc = len(rows), len(mids), len(cols)
-    a: list[list[int]] = [[0] * nm for _ in range(nr)]
-    for (x, y), wt in left.items():
-        a[row_pos[x]][mid_pos[y]] = wt
-    b: list[list[int]] = [[0] * nc for _ in range(nm)]
-    for (x, y), wt in mid_right.items():
-        b[mid_pos[x]][col_pos[y]] = wt
-    out: list[list[int]] = [[0] * nc for _ in range(nr)]
-    for ri in range(nr):
-        arow = a[ri]
-        orow = out[ri]
-        for mi in range(nm):
-            av = arow[mi]
-            if not av:
-                continue
-            brow = b[mi]
-            for ci in range(nc):
-                bv = brow[ci]
-                if bv:
-                    orow[ci] += av * bv
-                    if ops:
-                        ops.add()
-    result: dict[tuple[int, int], int] = {}
-    for ri, x in enumerate(rows):
-        orow = out[ri]
-        for ci, y in enumerate(cols):
-            if orow[ci]:
-                result[(x, y)] = orow[ci]
-    return result
+) -> dict[int, dict[int, int]]:
+    """Sparse row product of two chain segments, one multiply per pair of
+    nonzero entries that meet at a middle vertex."""
+    out: dict[int, dict[int, int]] = {}
+    products = 0
+    for x, row in left.items():
+        acc: dict[int, int] = {}
+        get = acc.get
+        for y, a in row.items():
+            mid = right.get(y)
+            if mid:
+                products += len(mid)
+                for z, b in mid.items():
+                    acc[z] = get(z, 0) + a * b
+        if acc:
+            out[x] = acc
+    if ops:
+        ops.add(products)
+    return out

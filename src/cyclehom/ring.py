@@ -10,7 +10,8 @@ result fit in ``width`` bits; slots above d may overflow freely.  Width 0
 is evaluation at z = 1: the plain sum of the coefficients.
 
 TruncatedPolynomial (Z[z] with terms above a bound dropped on multiply) is
-the earlier coefficient-tuple representation.  No engine uses it.
+the earlier coefficient-tuple representation, kept as a cross-check
+reference for the packed arithmetic.  No engine uses it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from .graphs import GraphError
 
 
 class TruncatedPolynomial:
-    """Polynomial over arbitrary-precision ints, truncated above ``trunc``."""
+    """Polynomial over arbitrary-precision ints, truncated above ``trunc``.
+
+    A cross-check reference for the packed weights; no engine uses it.
+    """
 
     __slots__ = ("coeffs", "trunc")
 

@@ -205,3 +205,31 @@ def test_detect_empty_thread_count_runs_serially(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert report["found"] is True
     assert report["workers"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom-count", "--cycle", "3", "--omega", "abc"],
+        ["hom-count", "--cycle", "3", "--omega", "1/0"],
+        ["cost-model", "--k", "3", "--grid-step", "x"],
+        ["cost-model", "--k", "3", "--grid-step", "0"],
+        ["detect", "--k", "3", "--delta", "0"],
+        ["detect", "--k", "3", "--delta", "-1"],
+        ["detect", "--k", "3", "--delta", "1"],
+        ["detect", "--k", "3", "--reps", "0"],
+        ["detect", "--k", "3", "--reps", "-3"],
+        ["detect", "--k", "3", "--reps", "2.5"],
+    ],
+)
+def test_malformed_numeric_options_are_usage_errors(tmp_path, capsys, argv):
+    option = argv[-2]
+    if argv[0] != "cost-model":
+        argv = argv + ["--input", write(tmp_path, "tri.txt", "0 1\n1 2\n2 0\n")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {option}:" in errors[0]

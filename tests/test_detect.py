@@ -497,3 +497,19 @@ def test_gadget_rejects_out_of_range_vertices():
     for partition in (((0,), (1,), (2, 5)), ((0,), (1,), (2, -1)), ((0,), (1, 1), (2,))):
         with pytest.raises(GraphError):
             build_detection_gadget(d3, 3, partition)
+
+
+@pytest.mark.parametrize("reps", [0, -3])
+@pytest.mark.parametrize(
+    "detector, k",
+    [
+        (detect_directed_cycle, 3),
+        (detect_cycle_degenerate, 3),
+        (detect_cycle_degenerate, 6),
+        (detect_cycle_general_directed, 3),
+    ],
+)
+def test_detectors_reject_nonpositive_repetitions(detector, k, reps):
+    triangle = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(GraphError):
+        detector(triangle, k, reps=reps, seed=1)

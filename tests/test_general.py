@@ -127,6 +127,12 @@ def test_default_repetitions():
     assert default_repetitions(3, 0.05) >= 27
 
 
+@pytest.mark.parametrize("delta", [0, 1, -1, 1.5, math.nan])
+def test_default_repetitions_rejects_delta_outside_unit_interval(delta):
+    with pytest.raises(GraphError):
+        default_repetitions(4, delta)
+
+
 def brute_walk_table(g, r, delta, mode="low", signature=None, reverse=False):
     """Endpoint counts of r-step walks, enumerated one walk at a time."""
     if isinstance(g, Graph) and not g.directed:

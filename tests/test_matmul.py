@@ -15,7 +15,10 @@ from cyclehom.matmul import (
     in_degree_classes,
     plan_matrix_chain,
 )
+from cyclehom.ops import OpCounter
+from cyclehom.pipeline import hom_cycle_degenerate
 from cyclehom.walks import build_walk_weights
+from test_acceptance import three_degenerate_graph
 
 
 def random_dag(rng, n, p):
@@ -173,33 +176,36 @@ def test_engines_agree():
             assert hom_alt_cycle_matmul(w, ell) == hom_alt_cycle_comb(w, ell)
 
 
-def all_right_plan(d, k, cp):
-    """Deliberately suboptimal plan: always extend right, close at (0, 1)."""
+def uniform_plan(d, k, step, closing_pair):
+    """A valid, deliberately unoptimized plan: ``step(i, j)`` on every chain
+    of span >= 2."""
     exponents = {}
     choices = {}
     for span in range(1, k):
         for i in range(k):
             j = (i + span) % k
             exponents[(i, j)] = Fraction(span)
-            choices[(i, j)] = ("base",) if span == 1 else ("right",)
+            choices[(i, j)] = ("base",) if span == 1 else step(i, j)
     return EvaluationPlan(
         k=k, d=tuple(d), exponents=exponents, choices=choices,
-        closing_pair=(0, 1), objective=Fraction(k),
+        closing_pair=closing_pair, objective=Fraction(k),
     )
 
 
+def all_right_plan(d, k, cp):
+    """Always extend right, close at (0, 1)."""
+    return uniform_plan(d, k, lambda i, j: ("right",), (0, 1))
+
+
+def all_left_plan(d, k, cp):
+    """Always extend left, close at (0, 1)."""
+    return uniform_plan(d, k, lambda i, j: ("left",), (0, 1))
+
+
 def all_split_plan(d, k, cp):
-    """Another valid plan: split every chain at its first interior node."""
-    exponents = {}
-    choices = {}
-    for span in range(1, k):
-        for i in range(k):
-            j = (i + span) % k
-            exponents[(i, j)] = Fraction(span)
-            choices[(i, j)] = ("base",) if span == 1 else ("split", (i + 1) % k)
-    return EvaluationPlan(
-        k=k, d=tuple(d), exponents=exponents, choices=choices,
-        closing_pair=(1, 2) if k > 2 else (0, 1), objective=Fraction(k),
+    """Split every chain at its first interior node."""
+    return uniform_plan(
+        d, k, lambda i, j: ("split", (i + 1) % k), (1, 2) if k > 2 else (0, 1)
     )
 
 
@@ -211,7 +217,18 @@ def test_plan_soundness_any_plan_same_count():
         for ell in (2, 3, 4):
             reference = hom_alt_cycle_matmul(w, ell)
             assert hom_alt_cycle_matmul(w, ell, planner=all_right_plan) == reference
+            assert hom_alt_cycle_matmul(w, ell, planner=all_left_plan) == reference
             assert hom_alt_cycle_matmul(w, ell, planner=all_split_plan) == reference
+
+
+@pytest.mark.parametrize("ell, total", [(6, 40_021), (8, 274_935)])
+def test_matmul_op_count_pinned(ell, total):
+    # every plan step is one sparse product: one op per pair of nonzero
+    # entries that meet, so the total is fixed by the plans' bracketing
+    ops = OpCounter()
+    g = three_degenerate_graph(random.Random(7), 120)
+    hom_cycle_degenerate(g, ell, engine="matmul", ops=ops)
+    assert ops.count == total
 
 
 def test_class_size_bound():
