@@ -51,6 +51,10 @@ def _emit(report: dict) -> None:
 
 
 def _cmd_hom_count(args) -> int:
+    if args.general and args.engine != "auto":
+        print("error: --engine does not apply with --general, which runs its own engine",
+              file=sys.stderr)
+        return 2
     g = _read_graph(args.input, args.directed)
     ops = OpCounter() if args.count_ops else None
     started = time.perf_counter()
@@ -66,7 +70,7 @@ def _cmd_hom_count(args) -> int:
     report = {
         "count": str(count),
         "cycle": args.cycle,
-        "engine": args.engine + ("-general" if args.general else ""),
+        "engine": "general" if args.general else args.engine,
         "elapsed_ms": round(elapsed, 3),
         **_graph_stats(g),
     }
@@ -287,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("comb", "matmul", "auto", "brute"), default="auto"
     )
     p.add_argument(
-        "--omega", type=_FRACTION, default="3", help="cost-model exponent for planning"
+        "--omega", type=_FRACTION, default="3",
+        help="exponent that prices --engine matmul's bracketing ('auto' is comb at any omega)",
     )
     p.add_argument("--count-ops", action="store_true")
     p.set_defaults(func=_cmd_hom_count)

@@ -249,6 +249,8 @@ def detect_directed_cycle(
     if k < 3:
         raise GraphError("cycle length must be >= 3")
     reps = repetitions(k, reps, delta)
+    if d.vertex_count < k:  # every k-partition leaves a part empty
+        return False
     rng = random.Random(seed)
     for _ in range(reps):
         partition = _random_partition(rng, d.vertex_count, k)
@@ -280,6 +282,8 @@ def detect_cycle_degenerate(
     if k < 3:
         raise GraphError("cycle length must be >= 3")
     reps = repetitions(k, reps, delta)
+    if g.vertex_count < k:  # every k-partition leaves a part empty
+        return False
     if k < 6:
         return _find_short_cycle(g, k)
     directed = isinstance(g, Digraph) or g.directed

@@ -181,6 +181,8 @@ def detect_cycle_general_directed(
     if k < 3:
         raise GraphError("cycle length must be >= 3")
     reps = repetitions(k, reps, delta)
+    if d.vertex_count < k:  # every k-coloring leaves a color class empty
+        return False
     rng = random.Random(seed)
     for _ in range(reps):
         colors = [rng.randrange(k) for _ in range(d.vertex_count)]

@@ -30,8 +30,9 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class CostParams:
-    """Cost-model parameters: the matrix-multiplication exponent used for
-    planning (execution is always classical) and the maximization grid."""
+    """Cost-model parameters: the matrix-multiplication exponent, which
+    prices matmul's bracketing and ``cost_model_ck`` but never picks an
+    engine (execution is always classical), and the maximization grid."""
 
     omega: Fraction = Fraction(3)
     grid_step: Fraction = Fraction(1, 100)
@@ -185,20 +186,6 @@ def _vector_objective(coords: list[np.ndarray], k: int, omega: float) -> np.ndar
 _GRID_BUDGET = 60_000_000
 
 
-def _grid(k: int, step: Fraction) -> tuple[list[Fraction], int]:
-    """The exponent grid {0, step, ..., 1} and the number of points the
-    scan over k coordinates evaluates, the first fixed as the minimum."""
-    step = Fraction(step)
-    if step <= 0:
-        raise GraphError("grid step must be positive")
-    m = int(Fraction(1) / step)
-    values = [step * i for i in range(m + 1)]
-    if values[-1] != 1:
-        values.append(Fraction(1))
-    npts = len(values)
-    return values, sum((npts - i) ** (k - 1) for i in range(npts))
-
-
 def cost_model_ck(
     k: int,
     cp: CostParams,
@@ -215,8 +202,14 @@ def cost_model_ck(
 
     if k < 2:
         raise GraphError("cost model needs k >= 2")
-    values, total = _grid(k, cp.grid_step)
+    step = Fraction(cp.grid_step)
+    if step <= 0:
+        raise GraphError("grid step must be positive")
+    values = [step * i for i in range(int(1 / step) + 1)]
+    if values[-1] != 1:
+        values.append(Fraction(1))
     npts = len(values)
+    total = sum((npts - i) ** (k - 1) for i in range(npts))
     if total > budget:
         raise GraphError(
             f"cost-model grid has {total} points, over the budget of {budget}"

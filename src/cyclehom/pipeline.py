@@ -19,8 +19,6 @@ split into ascending and descending walk weights.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .comb import hom_alt_cycle_comb, hom_two_paths
 from .graphs import (
     Digraph,
@@ -30,13 +28,7 @@ from .graphs import (
     orient_acyclic,
     split_by_ordering,
 )
-from .matmul import (
-    _GRID_BUDGET,
-    CostParams,
-    _grid,
-    cost_model_ck,
-    hom_alt_cycle_matmul,
-)
+from .matmul import CostParams, hom_alt_cycle_matmul
 from .ops import OpCounter
 from .ring import coefficient
 from .walks import POLYNOMIAL, WalkPair, build_walk_weights, restrict_view
@@ -48,32 +40,18 @@ class EngineError(GraphError):
     """An internal consistency assertion failed inside a counting engine."""
 
 
-_AUTO_CACHE: dict[tuple[int, Fraction], str] = {}
-
-
 def _engine_for(p: int, cp: CostParams) -> str:
-    """The engine the cost model favors for the alternating 2p-cycle.
+    """The engine ``auto`` runs for the alternating 2p-cycle: comb, at
+    every p and every omega.
 
-    At omega = 3 a dense product costs its classical exponent, and the
-    model's c_p is at least comb's 2 - 1/ceil(p/2) at every p it can
-    evaluate (p = 2..6), so the grid search is skipped: at p = 6 it takes
-    about 26 s.  From p = 7 on the grid exceeds the cost model's point
-    budget, and comb is returned without a search at any omega.
+    Execution is always classical, so the choice is priced at omega = 3
+    whatever ``cp.omega`` says; ``cp`` only prices matmul's bracketing.
+    At omega = 3 the cost model's c_p is at least comb's 2 - 1/ceil(p/2)
+    for p = 2..6 (c_6 = 9/5 >= 5/3), and from p = 7 on its grid is over
+    budget, so the model is never consulted.  This is the one place where
+    ``auto`` resolves.
     """
-    if cp.omega == 3:
-        return "comb"
-    key = (p, cp.omega)
-    got = _AUTO_CACHE.get(key)
-    if got is None:
-        coarse = CostParams(omega=cp.omega, grid_step=Fraction(1, 20))
-        if _grid(p, coarse.grid_step)[1] > _GRID_BUDGET:
-            got = "comb"
-        else:
-            ck, _ = cost_model_ck(p, coarse)
-            comb_exp = Fraction(2) - Fraction(1, (p + 1) // 2)
-            got = "matmul" if ck < comb_exp else "comb"
-        _AUTO_CACHE[key] = got
-    return got
+    return "comb"
 
 
 def _oriented_pair(g: Graph | Digraph, length: int):
@@ -109,8 +87,9 @@ def hom_cycle_degenerate(
     """Exact hom(C_length, g); the directed cycle when g is directed.
 
     ``engine`` picks how alternating-cycle counts are computed: "comb" for
-    the path-table engine, "matmul" for the matrix-chain engine, or "auto"
-    to follow the cost model ("comb" at the default omega = 3).
+    the closed-walk engine, "matmul" for the matrix-chain engine, or "auto"
+    (``_engine_for``: comb at every omega).  ``cp`` prices only matmul's
+    bracketing; execution is always classical.
     """
     if length < 3:
         raise GraphError("cycle length must be >= 3")

@@ -55,6 +55,20 @@ def test_hom_count_general_and_ops(tmp_path, capsys):
     assert code == 0
     assert report["count"] == "18"
     assert report["op_counter"] > 0
+    assert report["engine"] == "general"
+
+
+@pytest.mark.parametrize("engine", ["comb", "matmul", "brute"])
+def test_general_rejects_an_explicit_engine(tmp_path, capsys, engine):
+    path = write(tmp_path, "k3.txt", K3)
+    code = main(
+        ["hom-count", "--cycle", "4", "--input", path, "--general", "--engine", engine]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.strip().splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error:") and "--engine" in errors[0]
 
 
 def test_detect_report(tmp_path, capsys):

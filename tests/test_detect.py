@@ -513,3 +513,26 @@ def test_detectors_reject_nonpositive_repetitions(detector, k, reps):
     triangle = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(GraphError):
         detector(triangle, k, reps=reps, seed=1)
+
+
+@pytest.mark.parametrize(
+    "detector, k",
+    [
+        (detect_directed_cycle, 5),
+        (detect_cycle_degenerate, 4),
+        (detect_cycle_degenerate, 7),
+        (detect_cycle_general_directed, 5),
+    ],
+)
+def test_detectors_skip_inputs_with_fewer_than_k_vertices(monkeypatch, detector, k):
+    # every colouring of fewer than k vertices leaves a class empty, so no
+    # repetition should run
+    def no_repetition(*args, **kwargs):
+        raise AssertionError("a repetition ran")
+
+    monkeypatch.setattr(cyclehom.detect, "_random_partition", no_repetition)
+    monkeypatch.setattr(cyclehom.general, "layered_subgraph", no_repetition)
+    triangle = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    assert detector(triangle, k, seed=1) is False
+    if detector is detect_cycle_degenerate:
+        assert detector(Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)]), k, seed=1) is False

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cyclehom
+import cyclehom.matmul
 from cyclehom.graphs import Digraph, Graph, GraphError, parse_graph
 from cyclehom.matmul import CostParams, cost_model_ck
 from cyclehom.oracle import enumerate_cycle_orientations, hom_count_brute, trace_power
@@ -136,3 +142,33 @@ def test_auto_picks_comb_when_the_cost_grid_is_over_budget():
     assert _engine_for(7, CostParams(omega=Fraction(2))) == "comb"
     with pytest.raises(GraphError):
         cost_model_ck(7, CostParams(omega=Fraction(2), grid_step=Fraction(1, 20)))
+
+
+@pytest.mark.parametrize("omega", [Fraction(2), Fraction(5, 2), Fraction(3)])
+def test_auto_is_comb_at_every_omega_without_the_cost_model(monkeypatch, omega):
+    # execution is always classical, so auto prices engines at omega = 3
+    def no_model(*args, **kwargs):
+        raise AssertionError("auto must not run the cost model")
+
+    monkeypatch.setattr(cyclehom.matmul, "_vector_objective", no_model)
+    for p in range(2, 9):
+        assert _engine_for(p, CostParams(omega=omega)) == "comb"
+
+
+def test_counting_at_omega_2_leaves_numpy_out():
+    src = str(Path(cyclehom.__file__).resolve().parent.parent)
+    probe = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from cyclehom.graphs import parse_graph\n"
+        "from cyclehom.matmul import CostParams\n"
+        "from cyclehom.pipeline import hom_cycle_degenerate\n"
+        "k3 = parse_graph('0 1\\n0 2\\n1 2')\n"
+        "print(hom_cycle_degenerate(k3, 8, cp=CostParams(omega=Fraction(2))),"
+        " 'numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+    )
+    assert out.stdout.split() == ["258", "False"]
