@@ -1,18 +1,25 @@
 """Cycle detection through transversal counting.
 
 A partitioned graph's cycle transversals (simple p-cycles using each part
-exactly once) are counted by inclusion-exclusion over part subsets, each
-term a plain cycle-homomorphism count on an induced subgraph.  Since a
-term adds over the components of the part graph it induces, and a
+exactly once) are counted on its cycle core.  When the part graph Q (parts
+joined by a core edge) is a single p-cycle, as on both detectors' inputs
+below, a closed p-walk is a transversal exactly when it winds once around
+Q, so one count of the core oriented forward along Q (undirected) or one
+count per direction (directed) gives the total: one or two counts in place
+of the 2p + 1 inclusion-exclusion terms, each handed to the engine as a
+``Digraph``.  On any other Q the count is an inclusion-exclusion over part
+subsets, each term a plain cycle-homomorphism count on an induced
+subgraph; since a term adds over the components of Q it induces, and a
 component's signs cancel unless its closed neighbourhood is every part,
-only connected, dominating part sets are counted: 2p + 1 terms on the
-cyclic part graphs below (17 in place of 255 for the k = 4 gadget, 13 in
-place of 63 for the k = 6 degenerate detector).  Directed
-k-cycle detection in an arbitrary digraph reduces to this: randomly
-k-partition, keep arcs between consecutive classes, subdivide each arc, and
-the subdivided graph is a 2-degenerate 2k-partite graph whose transversals
-are exactly the surviving directed k-cycles.  Degenerate-graph detection
-skips the gadget and counts transversals of the consistent subgraph itself.
+only connected, dominating part sets are counted.  Directed k-cycle
+detection in an arbitrary digraph reduces to this: randomly k-partition,
+keep arcs between consecutive classes, subdivide each arc, and the
+subdivided graph is a 2-degenerate 2k-partite graph whose transversals are
+exactly the surviving directed k-cycles.  The paper's converse reduction
+hands that gadget to an undirected hom(C_2k) counter; the oriented route
+here hands its orientation to a directed hom(C_p) counter instead.
+Degenerate-graph detection skips the gadget and counts transversals of the
+consistent subgraph itself.
 """
 
 from __future__ import annotations
@@ -73,13 +80,14 @@ class GadgetInstance:
 
 
 def _induced_subgraph(
-    pg: PartitionedGraph, keep: tuple[int, ...], edges: list[tuple[int, int, int]]
+    make, keep: tuple[int, ...], edges: list[tuple[int, int, int]]
 ) -> Graph | Digraph | None:
     """The kept parts' share of ``edges``, each (u, v, mask of its parts).
 
-    Only vertices with a kept edge are kept, relabeled densely: an
-    isolated vertex adds nothing to a cycle-homomorphism count.  None when
-    no edge is kept.
+    ``make(n, pairs)`` builds the result, so it decides between ``Digraph``
+    and ``Graph``.  Only vertices with a kept edge are kept, relabeled
+    densely: an isolated vertex adds nothing to a cycle-homomorphism count.
+    None when no edge is kept.
     """
     keep_mask = sum(1 << i for i in keep)
     index: dict[int, int] = {}
@@ -90,33 +98,72 @@ def _induced_subgraph(
     ]
     if not pairs:
         return None
-    if isinstance(pg.graph, Digraph):
-        return Digraph.from_arcs(len(index), pairs)
-    return Graph.from_edges(len(index), pairs, pg.graph.directed)
+    return make(len(index), pairs)
+
+
+def _term(make, keep, edges, p: int, hom_engine) -> int:
+    """hom(C_p) of the kept parts' share of ``edges``."""
+    sub = _induced_subgraph(make, keep, edges)
+    # A DAG has no closed walk: its term is 0 without a count.
+    if sub is None or isinstance(sub, Digraph) and sub.is_dag:
+        return 0
+    return hom_engine(sub, p)
+
+
+def _cyclic_order(closed: list[int]) -> list[int] | None:
+    """The parts in cyclic order when the part graph Q is one cycle through
+    all of them, else None; ``closed[i]`` is the mask of part i and its
+    neighbours in Q."""
+    p = len(closed)
+    nbrs = [closed[i] & ~(1 << i) for i in range(p)]
+    if any(m.bit_count() != 2 for m in nbrs):
+        return None
+    # Q is 2-regular: walk it from part 0 and fail on a shorter cycle.
+    order = [0, (nbrs[0] & -nbrs[0]).bit_length() - 1]
+    while len(order) < p:
+        nxt = (nbrs[order[-1]] & ~(1 << order[-2])).bit_length() - 1
+        if nxt == 0:
+            return None
+        order.append(nxt)
+    return order
 
 
 def transversal_count(
     pg: PartitionedGraph, hom_engine=None
 ) -> TransversalCount:
-    """Count cycle transversals by inclusion-exclusion over part subsets.
+    """Count cycle transversals: by oriented counts on a cyclic part graph,
+    by inclusion-exclusion over part subsets otherwise.
 
     ``hom_engine(graph, p)`` must return hom(C_p, graph) exactly; it
     defaults to the degenerate-graph pipeline.  A transversal uses no edge
     inside a part and only vertices on cycles of what remains, so every
-    term is counted on that cycle core (``graphs.cycle_core``), and no term
-    at all when the core misses a part.  A subset's term adds over the
-    components of the part graph Q (parts joined by a core edge) it
-    induces, and a component's signs cancel unless it reaches every part,
-    so only the part sets that are connected and dominating in Q are
-    counted: 2p + 1 of the 2^p - 1 subsets on a cyclic Q (the gadget's),
-    all of them on a complete Q.  The homomorphism-level total is
-    divisible by 2p (p in the directed case), one orbit per transversal
-    cycle; a failed division means the engine is broken.
+    count runs on that cycle core (``graphs.cycle_core``), and none at all
+    when the core misses a part.  Let Q be the part graph of the core
+    (parts joined by a core edge).
+
+    When Q is a single p-cycle, as for the gadget and the degenerate
+    detector, each step of a closed p-walk moves one part forward or back
+    along Q's cyclic order, and the walk is a transversal exactly when it
+    winds once around Q.  With D+ the core edges that step forward (an
+    undirected edge taken in its forward direction) and D- the arcs that
+    step back, the total is 2 * hom(C_p, D+) undirected and
+    hom(C_p, D+) + hom(C_p, D-) directed: one or two counts in place of
+    the 2p + 1 inclusion-exclusion terms a cyclic Q needs, and the engine
+    receives a ``Digraph`` even for an undirected partitioned graph.
+
+    Otherwise a subset's term adds over the components of Q it induces,
+    and a component's signs cancel unless it reaches every part, so only
+    the part sets that are connected and dominating in Q are counted: all
+    of them on a complete Q.  A directed count whose arcs form a DAG is 0
+    and skips the engine.  The homomorphism-level total is divisible by 2p
+    (p in the directed case), one orbit per transversal cycle; a failed
+    division means the engine is broken.
     """
     if hom_engine is None:
         hom_engine = hom_cycle_degenerate
     g = pg.graph
     p = pg.part_count
+    directed = pg.directed()
     part_of = [0] * g.vertex_count
     for i, part in enumerate(pg.parts):
         for v in part:
@@ -125,7 +172,7 @@ def transversal_count(
     core = cycle_core(
         g.vertex_count,
         [(u, v) for u, v in pairs if part_of[u] != part_of[v]],
-        pg.directed(),
+        directed,
     )
     edges = [(u, v, 1 << part_of[u] | 1 << part_of[v]) for u, v in core]
     full = (1 << p) - 1
@@ -138,6 +185,35 @@ def transversal_count(
                 closed[i] |= mask
     if covered != full:
         return TransversalCount(hom_transversals=0, cycle_transversals=0)
+    order = _cyclic_order(closed)
+    if order is not None:
+        total = _winding_total(order, part_of, edges, directed, hom_engine)
+    else:
+        total = _dominating_total(g, closed, edges, hom_engine)
+    orbit = p if directed else 2 * p
+    if total % orbit:
+        raise EngineError(
+            f"transversal total {total} not divisible by {orbit}; engine bug"
+        )
+    return TransversalCount(hom_transversals=total, cycle_transversals=total // orbit)
+
+
+def _dominating_total(
+    g: Graph | Digraph,
+    closed: list[int],
+    edges: list[tuple[int, int, int]],
+    hom_engine,
+) -> int:
+    """Inclusion-exclusion over the part sets connected and dominating in
+    the part graph Q; ``closed[i]`` is the mask of part i and its
+    neighbours in Q."""
+    if isinstance(g, Digraph):
+        make = Digraph.from_arcs
+    else:
+        def make(n, pairs):
+            return Graph.from_edges(n, pairs, g.directed)
+    p = len(closed)
+    full = (1 << p) - 1
     total = 0
     # The connected part sets of each size, each with its closed
     # neighbourhood; every one of size s + 1 grows from one of size s.
@@ -145,26 +221,44 @@ def transversal_count(
     for size in range(1, p + 1):
         sign = -1 if (p - size) % 2 else 1
         for keep, reach in level.items():
-            if reach != full:
-                continue
-            sub = _induced_subgraph(
-                pg, tuple(i for i in range(p) if keep >> i & 1), edges
-            )
-            # A DAG has no closed walk: its term is 0 without a count.
-            if sub is not None and not (isinstance(sub, Digraph) and sub.is_dag):
-                total += sign * hom_engine(sub, p)
+            if reach == full:
+                parts = tuple(i for i in range(p) if keep >> i & 1)
+                total += sign * _term(make, parts, edges, p, hom_engine)
         level = {
             keep | 1 << i: reach | closed[i]
             for keep, reach in level.items()
             for i in range(p)
             if (reach & ~keep) >> i & 1
         }
-    orbit = p if pg.directed() else 2 * p
-    if total % orbit:
-        raise EngineError(
-            f"transversal total {total} not divisible by {orbit}; engine bug"
-        )
-    return TransversalCount(hom_transversals=total, cycle_transversals=total // orbit)
+    return total
+
+
+def _winding_total(
+    order: list[int],
+    part_of: list[int],
+    edges: list[tuple[int, int, int]],
+    directed: bool,
+    hom_engine,
+) -> int:
+    """Closed p-walks winding once around the cyclic part graph ``order``."""
+    p = len(order)
+    position = [0] * p
+    for t, i in enumerate(order):
+        position[i] = t
+    forward: list[tuple[int, int, int]] = []
+    backward: list[tuple[int, int, int]] = []
+    for u, v, mask in edges:
+        if (position[part_of[v]] - position[part_of[u]]) % p == 1:
+            forward.append((u, v, mask))
+        elif directed:
+            backward.append((u, v, mask))
+        else:
+            forward.append((v, u, mask))
+    every = tuple(range(p))
+    total = _term(Digraph.from_arcs, every, forward, p, hom_engine)
+    if not directed:
+        return 2 * total
+    return total + _term(Digraph.from_arcs, every, backward, p, hom_engine)
 
 
 def build_detection_gadget(
@@ -287,11 +381,13 @@ def detect_cycle_degenerate(
     if k < 6:
         return _find_short_cycle(g, k)
     directed = isinstance(g, Digraph) or g.directed
-    if not directed:
-        deg_ord = degeneracy_ordering(g)
-        if deg_ord.degeneracy > degeneracy_warning:
+    # The degeneracy is at most the maximum degree, so only a graph with a
+    # vertex of degree above the threshold needs its ordering to decide.
+    if not directed and max(map(len, g.adjacency), default=0) > degeneracy_warning:
+        degeneracy = degeneracy_ordering(g).degeneracy
+        if degeneracy > degeneracy_warning:
             warnings.warn(
-                f"input degeneracy {deg_ord.degeneracy} is large; "
+                f"input degeneracy {degeneracy} is large; "
                 "the degenerate-graph detector may be slow",
                 stacklevel=2,
             )

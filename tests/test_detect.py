@@ -15,7 +15,14 @@ from cyclehom.detect import (
     transversal_count,
 )
 from cyclehom.general import detect_cycle_general_directed
-from cyclehom.graphs import Digraph, Graph, GraphError, degeneracy_ordering, parse_graph
+from cyclehom.graphs import (
+    Digraph,
+    Graph,
+    GraphError,
+    cycle_core,
+    degeneracy_ordering,
+    parse_graph,
+)
 from cyclehom.ops import OpCounter
 from cyclehom.oracle import has_simple_cycle_brute
 from cyclehom.pipeline import EngineError, hom_cycle_degenerate
@@ -536,3 +543,164 @@ def test_detectors_skip_inputs_with_fewer_than_k_vertices(monkeypatch, detector,
     assert detector(triangle, k, seed=1) is False
     if detector is detect_cycle_degenerate:
         assert detector(Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)]), k, seed=1) is False
+
+
+def test_degeneracy_ordering_only_runs_above_the_warning_degree(monkeypatch):
+    # The degeneracy is at most the maximum degree, so a graph whose degrees
+    # stay within the warning threshold needs no ordering to decide.
+    def no_ordering(g):
+        raise AssertionError("degeneracy ordering ran")
+
+    monkeypatch.setattr(cyclehom.detect, "degeneracy_ordering", no_ordering)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert detect_cycle_degenerate(cycle_graph(6), 6, seed=3)
+        assert detect_cycle_degenerate(cycle_graph(6), 6, seed=3, degeneracy_warning=2)
+    with pytest.raises(AssertionError, match="ordering ran"):
+        detect_cycle_degenerate(cycle_graph(6), 6, seed=3, degeneracy_warning=1)
+
+
+def _cyclic_part_graph(rng, p):
+    """The edges of a p-cycle on the parts in a shuffled order."""
+    order = list(range(p))
+    rng.shuffle(order)
+    return [(order[i], order[(i + 1) % p]) for i in range(p)]
+
+
+def _as_directed_graph(pg):
+    """The same partitioned digraph as a ``Graph(directed=True)``."""
+    g = pg.graph
+    return PartitionedGraph(Graph.from_edges(g.vertex_count, g.arcs(), True), pg.parts)
+
+
+def _core_part_graph_is_cycle(pg):
+    """Whether the part graph of ``pg``'s cycle core is one p-cycle."""
+    part_of = {v: i for i, part in enumerate(pg.parts) for v in part}
+    g = pg.graph
+    pairs = g.arcs() if isinstance(g, Digraph) else g.edges()
+    core = cycle_core(
+        g.vertex_count,
+        [(u, v) for u, v in pairs if part_of[u] != part_of[v]],
+        pg.directed(),
+    )
+    nbrs = [set() for _ in range(pg.part_count)]
+    for u, v in core:
+        nbrs[part_of[u]].add(part_of[v])
+        nbrs[part_of[v]].add(part_of[u])
+    if any(len(n) != 2 for n in nbrs):
+        return False
+    reach, frontier = {0}, [0]
+    while frontier:
+        for j in nbrs[frontier.pop()] - reach:
+            reach.add(j)
+            frontier.append(j)
+    return len(reach) == pg.part_count
+
+
+def _recording_graphs(monkeypatch):
+    """A recording engine (see ``_recording_terms``) that also keeps the
+    graph each call receives; returns (engine, [(parts, graph), ...])."""
+    engine, keeps = _recording_terms(monkeypatch)
+    calls = []
+
+    def recording(g, p):
+        homs = engine(g, p)
+        calls.append((keeps[-1], g))
+        return homs
+
+    return recording, calls
+
+
+def test_transversal_count_on_cyclic_part_graphs(monkeypatch):
+    # On a cyclic part graph Q the total is one oriented count (undirected)
+    # or one per direction (directed), whatever order Q visits the parts in.
+    rng = random.Random(59)
+    engine, calls = _recording_graphs(monkeypatch)
+    positive = {"graph": 0, "digraph": 0, "directed Graph": 0}
+    cyclic = both_directions = 0
+    for trial in range(150):
+        p = 3 + trial % 5
+        kind = list(positive)[trial // 5 % 3]
+        pg = partitioned_on_part_graph(
+            rng, p, _cyclic_part_graph(rng, p), directed=kind != "graph"
+        )
+        if kind == "directed Graph":
+            pg = _as_directed_graph(pg)
+        expected = brute_transversal_homs(pg)
+        calls.clear()
+        got = transversal_count(pg, hom_engine=engine).hom_transversals
+        assert got == expected, (kind, p, trial)
+        positive[kind] += expected > 0
+        if not _core_part_graph_is_cycle(pg):
+            continue
+        cyclic += 1
+        assert len(calls) <= (1 if kind == "graph" else 2)
+        for parts, g in calls:
+            assert parts == tuple(range(p)) and isinstance(g, Digraph)
+        both_directions += len(calls) == 2
+    assert all(count > 10 for count in positive.values()), positive
+    assert cyclic > 50 and both_directions > 2, (cyclic, both_directions)
+
+
+def test_pruned_cyclic_part_graph_falls_back_to_the_dominating_sum(monkeypatch):
+    # Parts 0..p-1 joined in a shuffled cycle by 4-cycles between
+    # consecutive parts, except that one consecutive pair is joined only by
+    # a pendant edge: the core drops it, its Q is a path, and the count
+    # runs on the dominating sum with the input's own graph type.
+    rng = random.Random(60)
+    engine, calls = _recording_graphs(monkeypatch)
+    for p in range(3, 8):
+        part_edges = _cyclic_part_graph(rng, p)
+        parts = [[2 * i, 2 * i + 1] for i in range(p)]
+        pairs = []
+        for i, j in part_edges[1:]:
+            pairs += [(u, v) for u in parts[i] for v in parts[j]]
+        i, j = part_edges[0]
+        parts[i].append(2 * p)
+        pairs.append((2 * p, parts[j][0]))
+        pg = PartitionedGraph(
+            Graph.from_edges(2 * p + 1, [(min(e), max(e)) for e in pairs]),
+            tuple(tuple(part) for part in parts),
+        )
+        calls.clear()
+        assert transversal_count(pg, hom_engine=engine).hom_transversals == (
+            brute_transversal_homs(pg)
+        ) == 0
+        assert calls and not any(isinstance(g, Digraph) for _, g in calls)
+        assert any(len(keep) < p for keep, _ in calls)
+
+
+def test_cyclic_part_graph_takes_one_count_per_direction(monkeypatch):
+    rng = random.Random(61)
+    engine, calls = _recording_graphs(monkeypatch)
+    for p in range(3, 8):
+        order = list(range(p))
+        rng.shuffle(order)
+        pg = PartitionedGraph(cycle_graph(p), tuple((v,) for v in order))
+        calls.clear()
+        assert transversal_count(pg, hom_engine=engine).cycle_transversals == 1
+        assert [keep for keep, _ in calls] == [tuple(range(p))]
+        assert isinstance(calls[0][1], Digraph)
+
+        both = Digraph.from_arcs(
+            p, [(i, (i + 1) % p) for i in range(p)] + [((i + 1) % p, i) for i in range(p)]
+        )
+        for graph in (both, Graph.from_edges(p, both.arcs(), True)):
+            calls.clear()
+            pg = PartitionedGraph(graph, tuple((v,) for v in order))
+            assert transversal_count(pg, hom_engine=engine).cycle_transversals == 2
+            assert [keep for keep, _ in calls] == [tuple(range(p))] * 2
+            assert all(isinstance(g, Digraph) for _, g in calls)
+
+
+def test_engine_errors_still_raise_on_a_directed_cycle():
+    both = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 0), (2, 1)])
+    pg = PartitionedGraph(both, ((0,), (1,), (2,), (3,)))
+    with pytest.raises(EngineError, match="divisible by 4"):
+        transversal_count(pg, hom_engine=lambda g, p: 1)
+
+    def broken(g, p):
+        raise EngineError("broken engine")
+
+    with pytest.raises(EngineError, match="broken engine"):
+        transversal_count(pg, hom_engine=broken)
