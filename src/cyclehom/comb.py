@@ -16,9 +16,17 @@ through a high vertex is counted at its first high position from rows
 keyed by the low/high signature of their positions.  Each anchor joins a
 floor(l/2)-step forward row with a ceil(l/2)-step backward row (in the
 transpose, or the forward row again when T is symmetric) over their
-endpoints.  The caller passes the step: weighted over (target, weight)
-lists here, unweighted in ``general``.  With the threshold at
-ceil(n ** (1 / ceil(l/2))) this takes about n**(2 - 1/ceil(l/2)) time.
+endpoints.  The caller passes one step per row length: weighted over
+(target, weight) lists here, unweighted in ``general``.  With the
+threshold at ceil(n ** (1 / ceil(l/2))) this takes about
+n**(2 - 1/ceil(l/2)) time.
+
+On packed weights the caller reads one coefficient, z**length, so comb
+works to length budgets: each cherry entry covers two of the 2l runs and
+has no slot below 2, so T keeps only slots <= length - 2l + 2 and a row
+after s steps only slots <= length - 2(l - s); entries that mask to 0
+are dropped.  An undirected input's T is symmetric and built half-way:
+each unordered sink pair of a source is multiplied once and mirrored.
 The path tables are assemblies of the same rows, kept as cross-check
 references: ``path_table_low``, ``path_table_high``, their ``PathTable``
 and ``DegreeSignature`` types and the ``_low_tables``/``_high_tables``
@@ -32,6 +40,7 @@ from itertools import product
 
 from .graphs import GraphError
 from .ops import OpCounter
+from .ring import slot_mask
 from .walks import WalkPair, WeightedDigraph, as_pair, union_in_degrees
 
 
@@ -82,26 +91,49 @@ class PathTable:
 
 
 def _cherry_adjacency(
-    wl: WeightedDigraph, wa: WeightedDigraph, ops: OpCounter | None
+    wl: WeightedDigraph,
+    wa: WeightedDigraph,
+    ops: OpCounter | None,
+    keep: int | None = None,
 ) -> tuple[dict[tuple[int, int], int], list[list[tuple[int, int]]]]:
     """Single-source two-sink path weights, as a table and partner lists.
 
     The table keys (first, second) sink; partners[v] lists every (y, w)
     with a nonzero aggregate: the cherry relation's out-lists, which the
-    closed-walk steps consume.
+    closed-walk steps consume.  When both sides are one object the relation
+    is symmetric: each unordered sink pair of a source is multiplied once
+    and the table mirrored.  ``keep`` masks every entry (a slot budget);
+    entries that mask to 0 are dropped.
     """
     table: dict[tuple[int, int], int] = {}
+    get = table.get
+    symmetric = wl is wa
     for z in range(wl.vertex_count):
-        against_out = wa.out_items(z)
         along_out = wl.out_items(z)
+        if symmetric:
+            if ops:
+                ops.add(len(along_out) ** 2)
+            # out-lists ascend, so this half holds the pairs x <= y
+            for i, (x, wax) in enumerate(along_out):
+                for y, wly in along_out[i:]:
+                    key = (x, y)
+                    val = wax * wly
+                    got = get(key)
+                    table[key] = val if got is None else got + val
+            continue
+        against_out = wa.out_items(z)
         if ops:
             ops.add(len(against_out) * len(along_out))
         for x, wax in against_out:
             for y, wly in along_out:
                 key = (x, y)
                 val = wax * wly
-                got = table.get(key)
+                got = get(key)
                 table[key] = val if got is None else got + val
+    if keep is not None:
+        table = {key: m for key, value in table.items() if (m := value & keep)}
+    if symmetric:
+        table.update([((y, x), value) for (x, y), value in table.items() if x != y])
     partners: list[list[tuple[int, int]]] = [[] for _ in range(wl.vertex_count)]
     for (v, y), weight in table.items():
         partners[v].append((y, weight))
@@ -134,6 +166,24 @@ def _weighted_step(row: dict[int, int], adj, ops: OpCounter | None) -> dict[int,
     if ops:
         ops.add(sum(len(adj[y]) for y in row))
     return nxt
+
+
+def _masked_step(keep: int):
+    """``_weighted_step`` with each product masked by ``keep`` (a slot
+    budget); endpoints whose products all mask to 0 are dropped."""
+
+    def step(row: dict[int, int], adj, ops: OpCounter | None) -> dict[int, int]:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for y, c in row.items():
+            for z, w in adj[y]:
+                if v := c * w & keep:
+                    nxt[z] = get(z, 0) + v
+        if ops:
+            ops.add(sum(len(adj[y]) for y in row))
+        return nxt
+
+    return step
 
 
 def _extend_signed(rows, lists, step, ops: OpCounter | None):
@@ -190,14 +240,16 @@ def _signature_pairs(
     return by_forward
 
 
-def _closed_walks(k: int, high: list[bool], fwd, rev, step, ops: OpCounter | None) -> int:
+def _closed_walks(k: int, high: list[bool], fwd, rev, steps, ops: OpCounter | None) -> int:
     """Weighted count of closed k-walks in a relation, anchor by anchor.
 
     ``fwd`` and ``rev`` are the (low, high) out-lists of the relation and
     of its transpose, split by target status; ``rev`` is None when the
-    relation is symmetric.  ``step(row, lists, ops)`` moves a row
-    {y: weight} one step along lists.  Each anchor joins a floor(k/2)-step
-    forward row with a ceil(k/2)-step backward row over their endpoints.
+    relation is symmetric.  ``steps[s](row, lists, ops)`` moves a row
+    {y: weight} that has taken s steps one more step along lists, so a
+    step may depend on how far its row has come.  Each anchor joins a
+    floor(k/2)-step forward row with a ceil(k/2)-step backward row over
+    their endpoints.
     """
     a = k // 2
     b = k - a
@@ -210,18 +262,18 @@ def _closed_walks(k: int, high: list[bool], fwd, rev, step, ops: OpCounter | Non
         if is_high or not fwd_low[x]:
             continue
         f = {x: 1}
-        for _ in range(a):
-            f = step(f, fwd_low, ops)
+        for s in range(a):
+            f = steps[s](f, fwd_low, ops)
         if not f:
             continue
         if rev is None:
             # Symmetric: the backward row is the forward row, plus one
             # step at odd k.
-            r = step(f, fwd_low, ops) if b > a else f
+            r = steps[a](f, fwd_low, ops) if b > a else f
         else:
             r = {x: 1}
-            for _ in range(b):
-                r = step(r, rev_low, ops)
+            for s in range(b):
+                r = steps[s](r, rev_low, ops)
         total += _join(f, r, ops)
 
     # Closed walks through a high vertex, anchored at the first one.
@@ -230,14 +282,14 @@ def _closed_walks(k: int, high: list[bool], fwd, rev, step, ops: OpCounter | Non
         if not is_high:
             continue
         fs: dict[tuple[bool, ...], dict[int, int]] = {(): {x: 1}}
-        for _ in range(a):
-            fs = _extend_signed(fs, fwd, step, ops)
+        for s in range(a):
+            fs = _extend_signed(fs, fwd, steps[s], ops)
         if rev is None:
-            rs = _extend_signed(fs, fwd, step, ops) if b > a else fs
+            rs = _extend_signed(fs, fwd, steps[a], ops) if b > a else fs
         else:
             rs = {(): {x: 1}}
-            for _ in range(b):
-                rs = _extend_signed(rs, rev, step, ops)
+            for s in range(b):
+                rs = _extend_signed(rs, rev, steps[s], ops)
         for sig_f, f in fs.items():
             for sig_r, weight in pairs.get(sig_f, ()):
                 r = rs.get(sig_r)
@@ -287,11 +339,13 @@ def _high_tables(high: list[bool], lists, r_max: int, step, ops: OpCounter | Non
     return levels
 
 
-def _cherry_relation(pair: WalkPair, delta: int, ops: OpCounter | None):
+def _cherry_relation(
+    pair: WalkPair, delta: int, ops: OpCounter | None, keep: int | None = None
+):
     """High flags of the sinks (in-degree above ``delta``) and the cherry
-    relation's partner lists."""
+    relation's partner lists, entries masked by ``keep``."""
     high = [d > delta for d in union_in_degrees(pair)]
-    return high, _cherry_adjacency(pair.along, pair.against, ops)[1]
+    return high, _cherry_adjacency(pair.along, pair.against, ops, keep)[1]
 
 
 def path_table_low(
@@ -341,6 +395,7 @@ def hom_alt_cycle_comb(
     half_length: int,
     delta: int | None = None,
     ops: OpCounter | None = None,
+    length: int | None = None,
 ) -> int:
     """Total weight of homomorphisms from the alternating 2l-cycle.
 
@@ -348,6 +403,15 @@ def hom_alt_cycle_comb(
     weighted count of closed l-walks in the cherry relation.  The threshold
     defaults to ceil(n ** (1 / ceil(l/2))), which balances the low and high
     row costs.
+
+    ``length`` is the only coefficient the caller reads, z**length, of
+    packed weights (width > 0).  Every cherry entry covers two runs and
+    has no slot below 2, so an entry can reach z**length only through its
+    slots <= length - 2l + 2, and a row after s steps only through its
+    slots <= length - 2(l - s).  With ``length`` set, entries and rows are
+    masked to these budgets and entries that mask to 0 are dropped: only
+    the result's slots above z**length change.  At width 0 or without
+    ``length`` nothing is masked.
     """
     ell = half_length
     if ell < 2:
@@ -358,10 +422,20 @@ def hom_alt_cycle_comb(
         return 0
     if delta is None:
         delta = max(1, integer_ceil_root(n, (ell + 1) // 2))
-    high, partners = _cherry_relation(pair, delta, ops)
+    width = pair.along.width
+    steps = [_weighted_step] * ell
+    keep = None
+    if length is not None and width:
+        if length < 2 * ell:
+            return 0
+        keep = slot_mask(length - 2 * ell + 2, width)
+        steps = [
+            _masked_step(slot_mask(length - 2 * (ell - s), width)) for s in range(1, ell + 1)
+        ]
+    high, partners = _cherry_relation(pair, delta, ops, keep)
     fwd = _weighted_split(partners, high)
     rev = None if pair.along is pair.against else _weighted_split(partners, high, True)
-    return _closed_walks(ell, high, fwd, rev, _weighted_step, ops)
+    return _closed_walks(ell, high, fwd, rev, steps, ops)
 
 
 def hom_two_paths(

@@ -132,7 +132,7 @@ def hom_cycle_general(
     delta = max(1, integer_ceil_root(m, (k + 1) // 2))
     high = [d > delta for d in deg]
     rev_lists = _split(rev, high) if directed else None
-    return _closed_walks(k, high, _split(fwd, high), rev_lists, _extend, ops)
+    return _closed_walks(k, high, _split(fwd, high), rev_lists, [_extend] * k, ops)
 
 
 def default_repetitions(k: int, delta: float = 0.05) -> int:

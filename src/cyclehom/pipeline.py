@@ -58,22 +58,33 @@ def _oriented_pair(g: Graph | Digraph, length: int):
     """Degeneracy-orient the input and build full-horizon walk weights.
 
     The weights hold walks of length up to ``length - 1``, packed at the
-    slot width that keeps z**length coefficients of cycle counts exact.
+    slot width that keeps z**length coefficients of cycle counts exact:
+    the narrower of ``ring.slot_width`` and the bound from the maximum
+    degree of the graph the ordering is taken on (``ring.degree_slot_width``).
     Undirected graphs yield one weight structure used on both sides;
-    digraphs split their arcs into ascending and descending DAGs first.
+    digraphs split their arcs into ascending and descending DAGs first,
+    both packed at the width of their underlying graph.
     Returns (pair, degeneracy).
     """
     if isinstance(g, Graph) and not g.directed:
         ordering = degeneracy_ordering(g)
         dag = orient_acyclic(g, ordering)
-        w = build_walk_weights(dag, length - 1, POLYNOMIAL, trunc=length)
+        w = build_walk_weights(
+            dag, length - 1, POLYNOMIAL, trunc=length, max_degree=_max_degree(g)
+        )
         return WalkPair(along=w, against=w), ordering.degeneracy
     d = g.to_digraph() if isinstance(g, Graph) else g
-    ordering = degeneracy_ordering(d.underlying_graph())
+    underlying = d.underlying_graph()
+    ordering = degeneracy_ordering(underlying)
     ascending, descending = split_by_ordering(d, ordering)
-    along = build_walk_weights(ascending, length - 1, POLYNOMIAL, trunc=length)
-    against = build_walk_weights(descending, length - 1, POLYNOMIAL, trunc=length)
+    top = _max_degree(underlying)
+    along = build_walk_weights(ascending, length - 1, POLYNOMIAL, trunc=length, max_degree=top)
+    against = build_walk_weights(descending, length - 1, POLYNOMIAL, trunc=length, max_degree=top)
     return WalkPair(along=along, against=against), ordering.degeneracy
+
+
+def _max_degree(g: Graph) -> int:
+    return max(map(len, g.adjacency), default=0)
 
 
 def hom_cycle_degenerate(
@@ -141,15 +152,15 @@ def _base_count(
         pair.against, max_run, POLYNOMIAL, trunc=length
     )
     view = WalkPair(along=along, against=against)
-    result = _run_engine(view, p, engine, cp, ops)
+    result = _run_engine(view, p, length, engine, cp, ops)
     return coefficient(result, length, along.width)
 
 
-def _run_engine(view: WalkPair, p: int, engine: str, cp: CostParams, ops):
+def _run_engine(view: WalkPair, p: int, length: int, engine: str, cp: CostParams, ops):
     if engine == "auto":
         engine = _engine_for(p, cp)
     if engine == "comb":
-        return hom_alt_cycle_comb(view, p, ops=ops)
+        return hom_alt_cycle_comb(view, p, ops=ops, length=length)
     return hom_alt_cycle_matmul(view, p, cp=cp, ops=ops)
 
 

@@ -9,6 +9,11 @@ factors, so slot d of a result is exactly c_d as long as c_0..c_d of that
 result fit in ``width`` bits; slots above d may overflow freely.  Width 0
 is evaluation at z = 1: the plain sum of the coefficients.
 
+Two widths keep slots 0..l exact: ``slot_width(n, l)`` from the vertex
+count alone, and the usually far smaller ``degree_slot_width(n, l, D)``
+from the maximum degree D; the pipeline packs at the smaller of the two.
+Both rest on the same count (see ``degree_slot_width``).
+
 TruncatedPolynomial (Z[z] with terms above a bound dropped on multiply) is
 the earlier coefficient-tuple representation, kept as a cross-check
 reference for the packed arithmetic.  No engine uses it.
@@ -162,9 +167,32 @@ def slot_width(n: int, length: int) -> int:
 
     Slot i <= length of a cycle count adds up closed walks of length i
     (at most n**(i + 1) vertex sequences) times a choice of break points
-    (at most 2**i), so it is below 2**width with this width.
+    (at most 2**i), so it is below 2**width with this width.  Valid for
+    any degree; ``degree_slot_width`` is the bound for a known degree.
     """
     return (length + 1) * n.bit_length() + length + 1
+
+
+def degree_slot_width(n: int, length: int, max_degree: int) -> int:
+    """Bits per slot for exact z**length coefficients over n vertices of
+    degree at most ``max_degree`` (D; for a digraph, the degree of its
+    underlying graph).
+
+    Bound: slot i of every value the degenerate pipeline forms (walk
+    weight, cherry entry, closed-walk row, join, matmul chain segment or
+    final count) is at most n * (2D)**i.  Proof: such a slot adds up
+    tuples of directed walks in the two orientation DAGs whose lengths sum
+    to i, glued end to end at shared sources and sinks.  Reading the tuple
+    in order, source walks reversed, gives one walk of length i in the
+    underlying graph G together with the set of positions where it changes
+    run, and the tuple is recovered from that pair, so the map is
+    injective.  G has at most n starts and D**i walks of length i from
+    each, and there are at most 2**i sets of split positions.  A row or a
+    segment starts at one vertex; sums over anchors stay within the n
+    starts.  Since n < 2**bitlen(n) and 2D < 2**bitlen(2D), slot i <=
+    length is below 2**width at this width.
+    """
+    return n.bit_length() + length * (2 * max_degree).bit_length()
 
 
 def pack(count: int, degree: int, width: int) -> int:

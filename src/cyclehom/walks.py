@@ -6,7 +6,8 @@ plus one int weight per pair: the walk-count polynomial sum_l count_l z**l
 evaluated at z = 2**width (see ``ring``).  The POLYNOMIAL view packs each
 count into its own ``width``-bit slot, which is what lets the cycle engines
 separate contributions by total walk length; the AGGREGATE view is width 0,
-the plain sum over lengths.
+the plain sum over lengths.  One forward sweep per source fills the
+per-length counts and the packed weights together.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Digraph, GraphError
-from .ring import pack, slot_mask, slot_width
+from .ring import degree_slot_width, pack, slot_mask, slot_width
 
 AGGREGATE = "aggregate"
 POLYNOMIAL = "polynomial"
@@ -44,12 +45,21 @@ class WeightedDigraph:
         return [(y, self.ring_view[(x, y)]) for y in self.digraph.out_adjacency[x]]
 
 
-def _view(view: str, n: int, horizon: int, trunc: int) -> tuple[int, int]:
-    """(slot width, longest walk kept) of a view."""
+def _view(
+    view: str, n: int, horizon: int, trunc: int, max_degree: int | None = None
+) -> tuple[int, int]:
+    """(slot width, longest walk kept) of a view.
+
+    The POLYNOMIAL width keeps slots up to ``trunc`` exact; a known
+    ``max_degree`` narrows it to ``ring.degree_slot_width``.
+    """
     if view == AGGREGATE:
         return 0, horizon
     if view == POLYNOMIAL:
-        return slot_width(n, trunc), min(horizon, trunc)
+        width = slot_width(n, trunc)
+        if max_degree is not None:
+            width = max(1, min(width, degree_slot_width(n, trunc, max_degree)))
+        return width, min(horizon, trunc)
     raise GraphError(f"unknown view {view!r}")
 
 
@@ -81,36 +91,50 @@ def build_walk_weights(
     horizon: int,
     view: str = AGGREGATE,
     trunc: int | None = None,
+    max_degree: int | None = None,
 ) -> WeightedDigraph:
     """Count all walks of length up to ``horizon`` between every pair.
 
     ``view`` selects the weight per pair: AGGREGATE sums the counts,
     POLYNOMIAL packs count_l into slot l, dropping lengths above ``trunc``
     (defaults to the horizon), at the slot width that keeps coefficients up
-    to z**trunc of cycle counts exact.  Requires a DAG; runs one forward
-    sweep per source, so time and output size are n * max_out_degree**horizon
-    in the worst case.
+    to z**trunc of cycle counts exact.  ``max_degree`` bounds the degree of
+    the graph whose walks the cycle counts add up (for a digraph, of its
+    underlying graph) and narrows that width (``ring.degree_slot_width``);
+    both sides of a digraph's pair must get the same value.  Requires a
+    DAG; runs one forward sweep per source, so time and output size are
+    n * max_out_degree**horizon in the worst case.
     """
     if horizon < 1:
         raise GraphError("walk horizon must be >= 1")
     if not d.is_dag:
         raise GraphError("walk weights require an acyclic digraph")
     n = d.vertex_count
-    width, top = _view(view, n, horizon, horizon if trunc is None else trunc)
+    trunc = horizon if trunc is None else trunc
+    width, top = _view(view, n, horizon, trunc, max_degree)
     per_length: dict[tuple[int, int, int], int] = {}
+    ring_view: dict[tuple[int, int], int] = {}
+    adjacency = d.out_adjacency
     for x in range(n):
+        if not adjacency[x]:
+            continue
         frontier = {x: 1}
+        weights: dict[int, int] = {}
         for step in range(1, horizon + 1):
             nxt: dict[int, int] = {}
             for u, cnt in frontier.items():
-                for v in d.out_adjacency[u]:
+                for v in adjacency[u]:
                     nxt[v] = nxt.get(v, 0) + cnt
             if not nxt:
                 break
             for y, cnt in nxt.items():
                 per_length[(x, y, step)] = cnt
+                if step <= top:
+                    weights[y] = weights.get(y, 0) + pack(cnt, step, width)
             frontier = nxt
-    return _weighted(n, horizon, per_length, _packed(per_length, top, width), width)
+        for y, weight in weights.items():
+            ring_view[(x, y)] = weight
+    return _weighted(n, horizon, per_length, ring_view, width)
 
 
 def restrict_view(
@@ -120,18 +144,21 @@ def restrict_view(
 
     Used by the cycle pipeline to derive, from one full walk-count pass, the
     per-base-size views whose arc weights never exceed the length any single
-    subdivision path can attain.  When ``w`` is already packed at the
-    view's width this is one slot mask per weight; otherwise the weights are
-    repacked from the per-length counts.  ``per_length`` is shared with
-    ``w``: it keeps the counts up to the source horizon.
+    subdivision path can attain.  A packed ``w`` keeps its width under the
+    POLYNOMIAL view, and with it the source's exact-coefficient bound: this
+    is one slot mask per weight.  Otherwise the weights are repacked from
+    the per-length counts.  ``per_length`` is shared with ``w``: it keeps
+    the counts up to the source horizon.
     """
     n = w.vertex_count
     horizon = min(w.horizon, max_length)
-    width, top = _view(view, n, horizon, max_length if trunc is None else trunc)
-    if width and width == w.width:
-        keep = slot_mask(top, width)
+    trunc = max_length if trunc is None else trunc
+    if w.width and view == POLYNOMIAL:
+        width = w.width
+        keep = slot_mask(min(horizon, trunc), width)
         ring_view = {key: m for key, value in w.ring_view.items() if (m := value & keep)}
     else:
+        width, top = _view(view, n, horizon, trunc)
         ring_view = _packed(w.per_length, top, width)
     return _weighted(n, horizon, w.per_length, ring_view, width)
 
