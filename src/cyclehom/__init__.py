@@ -65,7 +65,7 @@ from .oracle import (
     trace_power,
 )
 from .pipeline import EngineError, hom_cycle_degenerate
-from .ring import RingWeight, TruncatedPolynomial
+from .ring import TruncatedPolynomial
 from .walks import WalkPair, WeightedDigraph, build_walk_weights, restrict_view
 
 __all__ = [
@@ -85,7 +85,6 @@ __all__ = [
     "PartitionedGraph",
     "PathTable",
     "RecoverySystem",
-    "RingWeight",
     "TransversalCount",
     "TruncatedPolynomial",
     "WalkPair",

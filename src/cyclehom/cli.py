@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .comb import hom_alt_cycle_comb
 from .detect import detect_cycle_degenerate, detect_directed_cycle
-from .general import default_repetitions, detect_cycle_general_directed, hom_cycle_general
+from .general import detect_cycle_general_directed, hom_cycle_general, repetitions
 from .graphs import Digraph, Graph, GraphError, degeneracy_ordering, parse_graph
 from .matmul import CostParams, cost_model_ck
 from .algebra import build_recovery_system, decompose_linear_combination
@@ -130,7 +130,7 @@ def _cmd_detect(args) -> int:
 
 
 def _maybe_parallel_detect(fn, target, args, seed: int, workers: int) -> bool:
-    reps = args.reps if args.reps is not None else default_repetitions(args.k, args.delta)
+    reps = repetitions(args.k, args.reps, args.delta)
     if workers <= 1:
         return fn(target, args.k, reps=reps, seed=seed, delta=args.delta)
     import concurrent.futures

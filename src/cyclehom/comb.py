@@ -155,22 +155,10 @@ def _weighted_split(partners, high: list[bool], transpose: bool = False):
     return low, hi
 
 
-def _weighted_step(row: dict[int, int], adj, ops: OpCounter | None) -> dict[int, int]:
-    """One weighted step: the weights of ``row`` moved along every (z, w)
-    entry, multiplied by w."""
-    nxt: dict[int, int] = {}
-    get = nxt.get
-    for y, c in row.items():
-        for z, w in adj[y]:
-            nxt[z] = get(z, 0) + c * w
-    if ops:
-        ops.add(sum(len(adj[y]) for y in row))
-    return nxt
-
-
 def _masked_step(keep: int):
-    """``_weighted_step`` with each product masked by ``keep`` (a slot
-    budget); endpoints whose products all mask to 0 are dropped."""
+    """One weighted step: the weights of a row moved along every (z, w)
+    entry, multiplied by w and masked by ``keep`` (a slot budget; -1 keeps
+    everything).  Endpoints whose products all mask to 0 are dropped."""
 
     def step(row: dict[int, int], adj, ops: OpCounter | None) -> dict[int, int]:
         nxt: dict[int, int] = {}
@@ -363,7 +351,7 @@ def path_table_low(
         raise GraphError("path parameter r must be >= 1")
     high, partners = _cherry_relation(as_pair(w), delta, ops)
     lists = _weighted_split(partners, high, reverse)
-    entries = _low_tables(lists, r, _weighted_step, ops)[r]
+    entries = _low_tables(lists, r, _masked_step(-1), ops)[r]
     return PathTable(kind="low", r=r, threshold=delta, entries=entries)
 
 
@@ -386,7 +374,7 @@ def path_table_high(
         raise GraphError(f"signature covers {sig.r} sinks, path needs {r}")
     high, partners = _cherry_relation(as_pair(w), delta, ops)
     lists = _weighted_split(partners, high, reverse)
-    entries = _high_tables(high, lists, r, _weighted_step, ops)[r].get(sig.high, {})
+    entries = _high_tables(high, lists, r, _masked_step(-1), ops)[r].get(sig.high, {})
     return PathTable(kind="high", r=r, threshold=delta, entries=entries, signature=sig)
 
 
@@ -423,7 +411,7 @@ def hom_alt_cycle_comb(
     if delta is None:
         delta = max(1, integer_ceil_root(n, (ell + 1) // 2))
     width = pair.along.width
-    steps = [_weighted_step] * ell
+    steps = [_masked_step(-1)] * ell
     keep = None
     if length is not None and width:
         if length < 2 * ell:

@@ -30,8 +30,8 @@ from .graphs import (
 )
 from .matmul import CostParams, hom_alt_cycle_matmul
 from .ops import OpCounter
-from .ring import coefficient
-from .walks import POLYNOMIAL, WalkPair, build_walk_weights, restrict_view
+from .ring import coefficient, degree_slot_width
+from .walks import WalkPair, build_walk_weights, restrict_view
 
 ENGINES = ("comb", "matmul", "auto")
 
@@ -57,34 +57,31 @@ def _engine_for(p: int, cp: CostParams) -> str:
 def _oriented_pair(g: Graph | Digraph, length: int):
     """Degeneracy-orient the input and build full-horizon walk weights.
 
-    The weights hold walks of length up to ``length - 1``, packed at the
-    slot width that keeps z**length coefficients of cycle counts exact:
-    the narrower of ``ring.slot_width`` and the bound from the maximum
-    degree of the graph the ordering is taken on (``ring.degree_slot_width``).
-    Undirected graphs yield one weight structure used on both sides;
-    digraphs split their arcs into ascending and descending DAGs first,
-    both packed at the width of their underlying graph.
-    Returns (pair, degeneracy).
+    The weights hold walks of length up to ``length - 1``, packed at
+    ``ring.degree_slot_width(n, length, D)``, with D the maximum degree of
+    the graph the ordering is taken on: the width that keeps z**length
+    coefficients of cycle counts exact.  Undirected graphs yield one weight
+    structure used on both sides; digraphs split their arcs into ascending
+    and descending DAGs first, and both are packed at the one width
+    computed from their underlying graph.  Returns (pair, degeneracy).
     """
     if isinstance(g, Graph) and not g.directed:
         ordering = degeneracy_ordering(g)
         dag = orient_acyclic(g, ordering)
-        w = build_walk_weights(
-            dag, length - 1, POLYNOMIAL, trunc=length, max_degree=_max_degree(g)
-        )
+        w = build_walk_weights(dag, length - 1, _width(g, length))
         return WalkPair(along=w, against=w), ordering.degeneracy
     d = g.to_digraph() if isinstance(g, Graph) else g
     underlying = d.underlying_graph()
     ordering = degeneracy_ordering(underlying)
     ascending, descending = split_by_ordering(d, ordering)
-    top = _max_degree(underlying)
-    along = build_walk_weights(ascending, length - 1, POLYNOMIAL, trunc=length, max_degree=top)
-    against = build_walk_weights(descending, length - 1, POLYNOMIAL, trunc=length, max_degree=top)
+    width = _width(underlying, length)
+    along = build_walk_weights(ascending, length - 1, width)
+    against = build_walk_weights(descending, length - 1, width)
     return WalkPair(along=along, against=against), ordering.degeneracy
 
 
-def _max_degree(g: Graph) -> int:
-    return max(map(len, g.adjacency), default=0)
+def _width(g: Graph, length: int) -> int:
+    return degree_slot_width(g.vertex_count, length, max(map(len, g.adjacency), default=0))
 
 
 def hom_cycle_degenerate(
@@ -147,10 +144,8 @@ def _base_count(
         return total
 
     max_run = length - (2 * p - 1)
-    along = restrict_view(pair.along, max_run, POLYNOMIAL, trunc=length)
-    against = along if pair.against is pair.along else restrict_view(
-        pair.against, max_run, POLYNOMIAL, trunc=length
-    )
+    along = restrict_view(pair.along, max_run)
+    against = along if pair.against is pair.along else restrict_view(pair.against, max_run)
     view = WalkPair(along=along, against=against)
     result = _run_engine(view, p, length, engine, cp, ops)
     return coefficient(result, length, along.width)

@@ -9,10 +9,11 @@ factors, so slot d of a result is exactly c_d as long as c_0..c_d of that
 result fit in ``width`` bits; slots above d may overflow freely.  Width 0
 is evaluation at z = 1: the plain sum of the coefficients.
 
-Two widths keep slots 0..l exact: ``slot_width(n, l)`` from the vertex
-count alone, and the usually far smaller ``degree_slot_width(n, l, D)``
-from the maximum degree D; the pipeline packs at the smaller of the two.
-Both rest on the same count (see ``degree_slot_width``).
+The pipeline packs at ``degree_slot_width(n, l, D)``, which keeps slots
+0..l exact over n vertices of maximum degree D; ``slot_width(n, l)`` is
+the bound from the vertex count alone.  D <= n - 1 gives bitlen(2D) <=
+bitlen(n) + 1, so degree_slot_width(n, l, D) <= (l + 1) * bitlen(n) + l
+< slot_width(n, l): the degree bound is always the narrower one.
 
 TruncatedPolynomial (Z[z] with terms above a bound dropped on multiply) is
 the earlier coefficient-tuple representation, kept as a cross-check
@@ -144,22 +145,6 @@ def _raw(coeffs: list, trunc: int) -> TruncatedPolynomial:
     poly.coeffs = tuple(coeffs)
     poly.trunc = trunc
     return poly
-
-
-RingWeight = int | TruncatedPolynomial
-
-
-def ring_coefficient(value: RingWeight, degree: int) -> int:
-    """Coefficient of z**degree, treating a bare int as a constant."""
-    if isinstance(value, int):
-        return value if degree == 0 else 0
-    return value.coefficient(degree)
-
-
-def ring_at_one(value: RingWeight) -> int:
-    if isinstance(value, int):
-        return value
-    return value.at_one()
 
 
 def slot_width(n: int, length: int) -> int:

@@ -3,11 +3,11 @@
 From a DAG this builds, for every ordered pair (x, y) and every length
 1 <= l <= horizon, the exact number of directed x->y walks with l edges,
 plus one int weight per pair: the walk-count polynomial sum_l count_l z**l
-evaluated at z = 2**width (see ``ring``).  The POLYNOMIAL view packs each
-count into its own ``width``-bit slot, which is what lets the cycle engines
-separate contributions by total walk length; the AGGREGATE view is width 0,
-the plain sum over lengths.  One forward sweep per source fills the
-per-length counts and the packed weights together.
+evaluated at z = 2**width (see ``ring``).  A width > 0 packs each count
+into its own ``width``-bit slot, which is what lets the cycle engines
+separate contributions by total walk length; width 0 is the plain sum over
+lengths.  One forward sweep per source fills the per-length counts and the
+packed weights together.
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Digraph, GraphError
-from .ring import degree_slot_width, pack, slot_mask, slot_width
-
-AGGREGATE = "aggregate"
-POLYNOMIAL = "polynomial"
+from .ring import pack, slot_mask
 
 
 @dataclass(frozen=True)
@@ -27,7 +24,7 @@ class WeightedDigraph:
 
     ``per_length[(x, y, l)]`` is the number of l-edge walks from x to y in
     the source DAG; ``ring_view[(x, y)]`` is sum_l per_length[(x, y, l)] *
-    2**(width * l) over the lengths the view keeps.  ``digraph`` is the
+    2**(width * l) over the lengths up to ``horizon``.  ``digraph`` is the
     support: the arc (x, y) exists exactly when the weight is nonzero.
     """
 
@@ -45,31 +42,14 @@ class WeightedDigraph:
         return [(y, self.ring_view[(x, y)]) for y in self.digraph.out_adjacency[x]]
 
 
-def _view(
-    view: str, n: int, horizon: int, trunc: int, max_degree: int | None = None
-) -> tuple[int, int]:
-    """(slot width, longest walk kept) of a view.
-
-    The POLYNOMIAL width keeps slots up to ``trunc`` exact; a known
-    ``max_degree`` narrows it to ``ring.degree_slot_width``.
-    """
-    if view == AGGREGATE:
-        return 0, horizon
-    if view == POLYNOMIAL:
-        width = slot_width(n, trunc)
-        if max_degree is not None:
-            width = max(1, min(width, degree_slot_width(n, trunc, max_degree)))
-        return width, min(horizon, trunc)
-    raise GraphError(f"unknown view {view!r}")
-
-
-def _packed(per_length: dict, top: int, width: int) -> dict[tuple[int, int], int]:
-    """Pack the counts of walks no longer than ``top`` into one int per pair."""
+def _packed(per_length: dict, top: int) -> dict[tuple[int, int], int]:
+    """Sum the counts of walks no longer than ``top`` into one int per pair
+    (width 0)."""
     ring_view: dict[tuple[int, int], int] = {}
     for (x, y, step), count in per_length.items():
         if step <= top:
             key = (x, y)
-            ring_view[key] = ring_view.get(key, 0) + pack(count, step, width)
+            ring_view[key] = ring_view.get(key, 0) + count
     return ring_view
 
 
@@ -86,32 +66,24 @@ def _weighted(
     )
 
 
-def build_walk_weights(
-    d: Digraph,
-    horizon: int,
-    view: str = AGGREGATE,
-    trunc: int | None = None,
-    max_degree: int | None = None,
-) -> WeightedDigraph:
+def build_walk_weights(d: Digraph, horizon: int, width: int = 0) -> WeightedDigraph:
     """Count all walks of length up to ``horizon`` between every pair.
 
-    ``view`` selects the weight per pair: AGGREGATE sums the counts,
-    POLYNOMIAL packs count_l into slot l, dropping lengths above ``trunc``
-    (defaults to the horizon), at the slot width that keeps coefficients up
-    to z**trunc of cycle counts exact.  ``max_degree`` bounds the degree of
-    the graph whose walks the cycle counts add up (for a digraph, of its
-    underlying graph) and narrows that width (``ring.degree_slot_width``);
-    both sides of a digraph's pair must get the same value.  Requires a
-    DAG; runs one forward sweep per source, so time and output size are
+    Each pair's weight packs count_l into slot l at ``width`` bits per slot
+    (``ring.pack``, which raises on a count that does not fit); width 0 is
+    the plain sum over lengths.  A cycle count's coefficients up to z**l
+    stay exact at ``ring.degree_slot_width(n, l, D)``, with D the maximum
+    degree of the graph whose walks it adds up.  Requires a DAG; runs one
+    forward sweep per source, so time and output size are
     n * max_out_degree**horizon in the worst case.
     """
     if horizon < 1:
         raise GraphError("walk horizon must be >= 1")
+    if width < 0:
+        raise GraphError("slot width must be >= 0")
     if not d.is_dag:
         raise GraphError("walk weights require an acyclic digraph")
     n = d.vertex_count
-    trunc = horizon if trunc is None else trunc
-    width, top = _view(view, n, horizon, trunc, max_degree)
     per_length: dict[tuple[int, int, int], int] = {}
     ring_view: dict[tuple[int, int], int] = {}
     adjacency = d.out_adjacency
@@ -129,38 +101,33 @@ def build_walk_weights(
                 break
             for y, cnt in nxt.items():
                 per_length[(x, y, step)] = cnt
-                if step <= top:
-                    weights[y] = weights.get(y, 0) + pack(cnt, step, width)
+                weights[y] = weights.get(y, 0) + pack(cnt, step, width)
             frontier = nxt
         for y, weight in weights.items():
             ring_view[(x, y)] = weight
     return _weighted(n, horizon, per_length, ring_view, width)
 
 
-def restrict_view(
-    w: WeightedDigraph, max_length: int, view: str, trunc: int | None = None
-) -> WeightedDigraph:
-    """The weights of walks of length <= ``max_length`` only.
+def restrict_view(w: WeightedDigraph, max_length: int) -> WeightedDigraph:
+    """The weights of walks of length <= ``max_length`` only, at ``w``'s width.
 
     Used by the cycle pipeline to derive, from one full walk-count pass, the
     per-base-size views whose arc weights never exceed the length any single
-    subdivision path can attain.  A packed ``w`` keeps its width under the
-    POLYNOMIAL view, and with it the source's exact-coefficient bound: this
-    is one slot mask per weight.  Otherwise the weights are repacked from
-    the per-length counts.  ``per_length`` is shared with ``w``: it keeps
-    the counts up to the source horizon.
+    subdivision path can attain.  A packed ``w`` keeps its width, and with
+    it the source's exact-coefficient bound: this is one slot mask per
+    weight.  At width 0 the sums are rebuilt from the per-length counts.
+    ``per_length`` is shared with ``w``: it keeps the counts up to the
+    source horizon.
     """
-    n = w.vertex_count
+    if max_length < 1:
+        raise GraphError("walk length bound must be >= 1")
     horizon = min(w.horizon, max_length)
-    trunc = max_length if trunc is None else trunc
-    if w.width and view == POLYNOMIAL:
-        width = w.width
-        keep = slot_mask(min(horizon, trunc), width)
+    if w.width:
+        keep = slot_mask(horizon, w.width)
         ring_view = {key: m for key, value in w.ring_view.items() if (m := value & keep)}
     else:
-        width, top = _view(view, n, horizon, trunc)
-        ring_view = _packed(w.per_length, top, width)
-    return _weighted(n, horizon, w.per_length, ring_view, width)
+        ring_view = _packed(w.per_length, horizon)
+    return _weighted(w.vertex_count, horizon, w.per_length, ring_view, w.width)
 
 
 @dataclass(frozen=True)

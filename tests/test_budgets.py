@@ -6,20 +6,14 @@ from collections import Counter
 
 import pytest
 
-from cyclehom.comb import _cherry_adjacency, _masked_step, _weighted_step, hom_alt_cycle_comb
+from cyclehom.comb import _cherry_adjacency, _masked_step, hom_alt_cycle_comb
 from cyclehom.general import hom_cycle_general
 from cyclehom.graphs import Digraph, Graph
 from cyclehom.oracle import trace_power
 from cyclehom.ops import OpCounter
 from cyclehom.pipeline import _oriented_pair, hom_cycle_degenerate
 from cyclehom.ring import coefficient, pack, slot_mask, slot_width
-from cyclehom.walks import (
-    POLYNOMIAL,
-    WalkPair,
-    WeightedDigraph,
-    build_walk_weights,
-    restrict_view,
-)
+from cyclehom.walks import WalkPair, WeightedDigraph, build_walk_weights, restrict_view
 
 
 def star(s):
@@ -72,7 +66,7 @@ def test_degree_bounded_width_keeps_counts_exact(name):
         assert 1 <= pair.along.width <= slot_width(n, length)
         assert pair.against.width == pair.along.width
         # the per-p views mask their source and keep its width
-        assert restrict_view(pair.along, 1, POLYNOMIAL, trunc=length).width == pair.along.width
+        assert restrict_view(pair.along, 1).width == pair.along.width
 
 
 def test_width_is_narrowed_by_the_maximum_degree():
@@ -102,10 +96,8 @@ def pipeline_views(g, length):
     pair, _ = _oriented_pair(g, length)
     for p in range(2, length // 2 + 2):
         max_run = max(1, length - (2 * p - 1))
-        along = restrict_view(pair.along, max_run, POLYNOMIAL, trunc=length)
-        against = along if pair.against is pair.along else restrict_view(
-            pair.against, max_run, POLYNOMIAL, trunc=length
-        )
+        along = restrict_view(pair.along, max_run)
+        against = along if pair.against is pair.along else restrict_view(pair.against, max_run)
         yield p, WalkPair(along=along, against=against)
 
 
@@ -139,7 +131,7 @@ def test_masked_step_masks_every_entry_and_drops_zeros():
         [(2, pack(1, 1, width)), (4, pack(1, 1, width))],
     ]
     keep = slot_mask(3, width)
-    stepped = _weighted_step(row, adj, None)
+    stepped = _masked_step(-1)(row, adj, None)
     want = {z: m for z, v in stepped.items() if (m := v & keep)}
     # 3z^3 + 2z^4 keeps 3z^3, 15z^2 + 5z^5 keeps 15z^2, 2z^4 is dropped
     assert _masked_step(keep)(row, adj, None) == want == {2: pack(3, 3, width), 3: pack(15, 2, width)}

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cyclehom.walks as walks
+import cyclehom.pipeline as pipeline
 from cyclehom.general import hom_cycle_general
 from cyclehom.graphs import Digraph, Graph, GraphError
 from cyclehom.oracle import hom_count_brute, trace_power
 from cyclehom.pipeline import hom_cycle_degenerate
-from cyclehom.ring import coefficient, pack, slot_mask, slot_width
-from cyclehom.walks import POLYNOMIAL, build_walk_weights
+from cyclehom.ring import coefficient, degree_slot_width, pack, slot_mask, slot_width
+from cyclehom.walks import build_walk_weights
 
 DIAMOND = Digraph.from_arcs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
@@ -48,11 +48,22 @@ def test_pack_rejects_count_over_slot():
         pack(-1, 2, width)
 
 
+def test_degree_width_never_exceeds_vertex_width():
+    # D <= n - 1, so bitlen(2D) <= bitlen(n) + 1: the degree bound is the narrower
+    for length in range(41):
+        for n in range(1, 130):
+            for max_degree in range(n):
+                assert degree_slot_width(n, length, max_degree) <= slot_width(n, length)
+        for bits in range(8, 21):
+            for n in (2**bits - 1, 2**bits, 2**bits + 1):
+                assert degree_slot_width(n, length, n - 1) <= slot_width(n, length)
+
+
 def test_too_small_width_raises_instead_of_corrupting(monkeypatch):
     # the diamond has two 2-walks from 0 to 3; a 1-bit slot cannot hold them
-    monkeypatch.setattr(walks, "slot_width", lambda n, length: 1)
     with pytest.raises(GraphError):
-        build_walk_weights(DIAMOND, 2, POLYNOMIAL)
+        build_walk_weights(DIAMOND, 2, 1)
+    monkeypatch.setattr(pipeline, "degree_slot_width", lambda n, length, max_degree: 1)
     k4 = graph_from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     with pytest.raises(GraphError):
         hom_cycle_degenerate(k4, 6)

@@ -3,13 +3,8 @@ import random
 import pytest
 
 from cyclehom.graphs import Digraph, GraphError
-from cyclehom.ring import coefficient
-from cyclehom.walks import (
-    AGGREGATE,
-    POLYNOMIAL,
-    build_walk_weights,
-    restrict_view,
-)
+from cyclehom.ring import coefficient, slot_width
+from cyclehom.walks import build_walk_weights, restrict_view
 
 
 def random_dag(rng, n, p):
@@ -86,8 +81,8 @@ def test_polynomial_and_aggregate_agree_at_one():
     for _ in range(20):
         d = random_dag(rng, rng.randint(1, 7), 0.5)
         horizon = rng.randint(1, 4)
-        agg = build_walk_weights(d, horizon, AGGREGATE)
-        poly = build_walk_weights(d, horizon, POLYNOMIAL)
+        agg = build_walk_weights(d, horizon)
+        poly = build_walk_weights(d, horizon, slot_width(d.vertex_count, horizon))
         assert set(agg.ring_view) == set(poly.ring_view)
         for key, value in agg.ring_view.items():
             coeffs = [coefficient(poly.ring_view[key], i, poly.width) for i in range(horizon + 1)]
@@ -96,16 +91,16 @@ def test_polynomial_and_aggregate_agree_at_one():
 
 def test_polynomial_view_coefficients():
     d = Digraph.from_arcs(3, [(0, 1), (1, 2), (0, 2)])
-    w = build_walk_weights(d, 2, POLYNOMIAL)
+    w = build_walk_weights(d, 2, slot_width(3, 2))
     assert [coefficient(w.ring_view[(0, 2)], i, w.width) for i in range(3)] == [0, 1, 1]
 
 
 def test_restrict_view_drops_long_walks():
     d = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3)])
     w = build_walk_weights(d, 3)
-    short = restrict_view(w, 1, AGGREGATE)
+    short = restrict_view(w, 1)
     assert set(short.ring_view) == set(d.arcs())
-    shorter = restrict_view(w, 2, POLYNOMIAL, trunc=5)
+    shorter = restrict_view(build_walk_weights(d, 3, slot_width(4, 5)), 2)
     assert coefficient(shorter.ring_view[(0, 2)], 2, shorter.width) == 1
     assert (0, 3) not in shorter.ring_view
 
@@ -119,14 +114,27 @@ def test_rejects_cyclic_and_bad_horizon():
         build_walk_weights(d, 0)
 
 
+def test_rejects_negative_width():
+    d = Digraph.from_arcs(2, [(0, 1)])
+    with pytest.raises(GraphError):
+        build_walk_weights(d, 1, -1)
+
+
+def test_restrict_view_rejects_nonpositive_length():
+    w = build_walk_weights(Digraph.from_arcs(3, [(0, 1), (1, 2)]), 2, 3)
+    for max_length in (0, -1):
+        with pytest.raises(GraphError):
+            restrict_view(w, max_length)
+
+
 def test_weight_supports_equal_checked_construction():
     rng = random.Random(66)
     for _ in range(30):
         n = rng.randint(1, 10)
         d = random_dag(rng, n, rng.choice((0.2, 0.4)))
         horizon = rng.randint(1, 5)
-        for view in (AGGREGATE, POLYNOMIAL):
-            w = build_walk_weights(d, horizon, view)
-            short = restrict_view(w, rng.randint(1, horizon), view)
+        for width in (0, slot_width(n, horizon)):
+            w = build_walk_weights(d, horizon, width)
+            short = restrict_view(w, rng.randint(1, horizon))
             for weights in (w, short):
                 assert weights.digraph == Digraph.from_arcs(n, list(weights.ring_view))
