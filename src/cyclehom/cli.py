@@ -95,27 +95,24 @@ def _thread_count() -> int | None:
 
 
 def _cmd_detect(args) -> int:
+    if args.general and (args.degenerate or not args.directed):
+        print("error: --general runs the layered detector, which needs --directed "
+              "and excludes --degenerate", file=sys.stderr)
+        return 2
     workers = _thread_count()
     if workers is None:
         return 2
+    if args.general:
+        detector = detect_cycle_general_directed
+    elif args.directed and not args.degenerate:
+        detector = detect_directed_cycle
+    else:
+        detector = detect_cycle_degenerate
     g = _read_graph(args.input, args.directed)
     seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
     started = time.perf_counter()
-    if args.general:
-        if not g.directed:
-            raise GraphError("--general detection is for directed inputs")
-        found = _maybe_parallel_detect(
-            detect_cycle_general_directed, g.to_digraph(), args, seed, workers
-        )
-    elif args.directed and args.k >= 3 and not args.degenerate:
-        found = _maybe_parallel_detect(
-            detect_directed_cycle, g.to_digraph(), args, seed, workers
-        )
-    else:
-        target: Graph | Digraph = g.to_digraph() if g.directed else g
-        found = _maybe_parallel_detect(
-            detect_cycle_degenerate, target, args, seed, workers
-        )
+    target: Graph | Digraph = g.to_digraph() if g.directed else g
+    found = _maybe_parallel_detect(detector, target, args, seed, workers)
     elapsed = (time.perf_counter() - started) * 1000.0
     report = {
         "found": found,

@@ -19,16 +19,16 @@ exactly the surviving directed k-cycles.  The paper's converse reduction
 hands that gadget to an undirected hom(C_2k) counter; the oriented route
 here hands its orientation to a directed hom(C_p) counter instead.
 Degenerate-graph detection skips the gadget and counts transversals of the
-consistent subgraph itself.
+consistent subgraph itself.  Both supply only their trial, one colouring
+in and hit or miss out, to ``general``'s colour-coding loop.
 """
 
 from __future__ import annotations
 
-import random
 import warnings
 from dataclasses import dataclass
 
-from .general import repetitions
+from .general import _colour_coding, repetitions
 from .graphs import Digraph, Graph, GraphError, cycle_core, degeneracy_ordering
 from .pipeline import EngineError, hom_cycle_degenerate
 
@@ -261,6 +261,16 @@ def _winding_total(
     return total + _term(Digraph.from_arcs, every, backward, p, hom_engine)
 
 
+def _gadget_length(k: int, cycle_length: int | None) -> int:
+    """The gadget's transversal length p >= 2k (2k by default), for k >= 3."""
+    if k < 3:
+        raise GraphError("gadget needs k >= 3")
+    p = 2 * k if cycle_length is None else cycle_length
+    if p < 2 * k:
+        raise GraphError("gadget cycle length must be at least 2k")
+    return p
+
+
 def build_detection_gadget(
     d: Digraph,
     k: int,
@@ -275,11 +285,7 @@ def build_detection_gadget(
     classes and arc classes.  Larger targets p subdivide the class-1-to-2
     arcs into a path of length p + 2 - 2k instead, supporting odd p.
     """
-    if k < 3:
-        raise GraphError("gadget needs k >= 3")
-    p = 2 * k if cycle_length is None else cycle_length
-    if p < 2 * k:
-        raise GraphError("gadget cycle length must be at least 2k")
+    p = _gadget_length(k, cycle_length)
     if len(partition) != k:
         raise GraphError(f"expected a {k}-partition")
     n = d.vertex_count
@@ -340,21 +346,15 @@ def detect_directed_cycle(
     k-cycle; a planted cycle survives a repetition with probability at
     least k**-k.
     """
-    if k < 3:
-        raise GraphError("cycle length must be >= 3")
     reps = repetitions(k, reps, delta)
-    if d.vertex_count < k:  # every k-partition leaves a part empty
-        return False
-    rng = random.Random(seed)
-    for _ in range(reps):
+    p = _gadget_length(k, cycle_length)
+
+    def trial(rng) -> bool:
         partition = _random_partition(rng, d.vertex_count, k)
-        gadget = build_detection_gadget(d, k, partition, cycle_length)
-        if any(not part for part in gadget.partitioned.parts):
-            continue
-        count = transversal_count(gadget.partitioned, hom_engine)
-        if count.hom_transversals > 0:
-            return True
-    return False
+        pg = build_detection_gadget(d, k, partition, p).partitioned
+        return all(pg.parts) and transversal_count(pg, hom_engine).hom_transversals > 0
+
+    return _colour_coding(d.vertex_count, k, reps, seed, trial)
 
 
 def detect_cycle_degenerate(
@@ -373,11 +373,7 @@ def detect_cycle_degenerate(
     consistently, counted through the degenerate-graph pipeline.  For
     k < 6 plain exhaustive search is faster and used instead.
     """
-    if k < 3:
-        raise GraphError("cycle length must be >= 3")
     reps = repetitions(k, reps, delta)
-    if g.vertex_count < k:  # every k-partition leaves a part empty
-        return False
     if k < 6:
         return _find_short_cycle(g, k)
     directed = isinstance(g, Digraph) or g.directed
@@ -391,36 +387,32 @@ def detect_cycle_degenerate(
                 "the degenerate-graph detector may be slow",
                 stacklevel=2,
             )
-    rng = random.Random(seed)
     n = g.vertex_count
-    if directed:
-        pairs = (g if isinstance(g, Digraph) else g.to_digraph()).arcs()
-    else:
-        pairs = g.edges()
-    for _ in range(reps):
+    pairs = g.arcs() if isinstance(g, Digraph) else g.edges()
+    # An arc steps one class forward; an edge one class either way.
+    steps = (1,) if directed else (1, k - 1)
+
+    def trial(rng) -> bool:
         partition = _random_partition(rng, n, k)
-        if any(not part for part in partition):
-            continue
+        if not all(partition):
+            return False
         cls = [0] * n
         for i, part in enumerate(partition):
             for v in part:
                 cls[v] = i
-        if directed:
-            kept = [(u, v) for u, v in pairs if cls[v] == (cls[u] + 1) % k]
-        else:
-            kept = [(u, v) for u, v in pairs if (cls[v] - cls[u]) % k in (1, k - 1)]
+        kept = [(u, v) for u, v in pairs if (cls[v] - cls[u]) % k in steps]
         if not kept:
-            continue
+            return False
         consistent = Digraph.from_arcs(n, kept) if directed else Graph.from_edges(n, kept)
         pg = PartitionedGraph(graph=consistent, parts=partition)
-        if transversal_count(pg, hom_engine).hom_transversals > 0:
-            return True
-    return False
+        return transversal_count(pg, hom_engine).hom_transversals > 0
+
+    return _colour_coding(n, k, reps, seed, trial)
 
 
-def _random_partition(
-    rng: random.Random, n: int, k: int
-) -> tuple[tuple[int, ...], ...]:
+def _random_partition(rng, n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """k classes of vertices 0..n-1, one ``rng.randrange(k)`` draw each in
+    vertex order."""
     parts: list[list[int]] = [[] for _ in range(k)]
     for v in range(n):
         parts[rng.randrange(k)].append(v)
@@ -429,10 +421,8 @@ def _random_partition(
 
 def _find_short_cycle(g: Graph | Digraph, k: int) -> bool:
     """Direct DFS search for a simple k-cycle; fine for small k."""
-    if isinstance(g, Digraph):
-        n, adj = g.vertex_count, g.out_adjacency
-    else:
-        n, adj = g.vertex_count, g.adjacency
+    n = g.vertex_count
+    adj = g.out_adjacency if isinstance(g, Digraph) else g.adjacency
     on_path = [False] * n
 
     def dfs(start: int, u: int, depth: int) -> bool:

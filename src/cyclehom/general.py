@@ -23,8 +23,13 @@ adjacency list.  With delta = ceil(m ** (1 / ceil(k/2))) this takes about
 m**(2 - 1/ceil(k/2)) time.  A digraph is first cut to its cycle core
 (graphs.cycle_core): a vertex with no surviving in-arc or out-arc lies on
 no closed walk.  An undirected graph is not pruned, since closed walks
-bounce on pendant trees (hom(C_4, K_2) = 2).  Also hosts directed k-cycle
-detection by random layered partitions.
+bounce on pendant trees (hom(C_4, K_2) = 2).
+
+Also hosts the colour-coding loop of the three detectors (Alon, Yuster
+and Zwick, "Color-coding", 1995): ``repetitions`` checks k and fixes the
+repetition count, and ``_colour_coding`` skips inputs with fewer than k
+vertices and feeds one seeded random stream to the detector's trial, once
+per repetition, until a trial finds a cycle.  The layered trial is here.
 """
 
 from __future__ import annotations
@@ -144,12 +149,24 @@ def default_repetitions(k: int, delta: float = 0.05) -> int:
 
 def repetitions(k: int, reps: int | None, delta: float) -> int:
     """An explicit repetition count, which must be >= 1, or the default
-    for failure probability delta."""
+    for failure probability delta; the cycle length k must be >= 3."""
+    if k < 3:
+        raise GraphError("cycle length must be >= 3")
     if reps is None:
         return default_repetitions(k, delta)
     if reps < 1:
         raise GraphError("repetition count must be >= 1")
     return reps
+
+
+def _colour_coding(n: int, k: int, reps: int, seed: int | None, trial) -> bool:
+    """Whether ``trial(rng)`` finds a cycle in one of ``reps`` repetitions,
+    all drawing from one ``random.Random(seed)``; none runs when n < k, as
+    every k-colouring of fewer than k vertices leaves a class empty."""
+    if n < k:
+        return False
+    rng = random.Random(seed)
+    return any(trial(rng) for _ in range(reps))
 
 
 def layered_subgraph(d: Digraph, colors: list[int], k: int) -> Digraph:
@@ -178,19 +195,13 @@ def detect_cycle_general_directed(
     a cycle (no false positives).  A cycle survives a repetition with
     probability at least k**-k, which sets the default repetition count.
     """
-    if k < 3:
-        raise GraphError("cycle length must be >= 3")
     reps = repetitions(k, reps, delta)
-    if d.vertex_count < k:  # every k-coloring leaves a color class empty
-        return False
-    rng = random.Random(seed)
-    for _ in range(reps):
-        colors = [rng.randrange(k) for _ in range(d.vertex_count)]
-        layered = layered_subgraph(d, colors, k)
+    n = d.vertex_count
+
+    def trial(rng: random.Random) -> bool:
+        layered = layered_subgraph(d, [rng.randrange(k) for _ in range(n)], k)
         # An empty directed cycle core (graphs.cycle_core) is a DAG: no
         # closed walk, so no count to make.
-        if layered.is_dag:
-            continue
-        if hom_cycle_general(layered, k, ops=ops) > 0:
-            return True
-    return False
+        return not layered.is_dag and hom_cycle_general(layered, k, ops=ops) > 0
+
+    return _colour_coding(n, k, reps, seed, trial)

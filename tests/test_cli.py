@@ -102,6 +102,21 @@ def test_detect_general_flag(tmp_path, capsys):
     assert report["found"] is True
 
 
+@pytest.mark.parametrize(
+    "flags", [["--general"], ["--general", "--degenerate", "--directed"]]
+)
+def test_detect_general_flag_conflicts_are_usage_errors(tmp_path, capsys, flags):
+    # --general runs the layered detector, which is for directed inputs
+    # only and is not the degenerate one; the input is never read.
+    missing = str(tmp_path / "missing.txt")
+    code = main(["detect", "--k", "3", "--input", missing, "--seed", "3"] + flags)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.strip().splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error:") and "--general" in errors[0]
+
+
 def test_degeneracy_subcommand(tmp_path, capsys):
     path = write(tmp_path, "c6.txt", C6)
     code, report = run_cli(capsys, ["degeneracy", "--input", path])

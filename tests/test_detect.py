@@ -704,3 +704,90 @@ def test_engine_errors_still_raise_on_a_directed_cycle():
 
     with pytest.raises(EngineError, match="broken engine"):
         transversal_count(pg, hom_engine=broken)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("cycle_length", [1, 5])
+def test_gadget_length_is_checked_before_any_repetition(monkeypatch, n, cycle_length):
+    # A target shorter than 2k is an error even when no repetition would
+    # run (n < k) or before the first one does.
+    def no_repetition(*args, **kwargs):
+        raise AssertionError("a repetition ran")
+
+    monkeypatch.setattr(cyclehom.detect, "_random_partition", no_repetition)
+    d = Digraph.from_arcs(n, [(v, (v + 1) % n) for v in range(n)])
+    with pytest.raises(GraphError, match="at least 2k"):
+        detect_directed_cycle(d, 3, reps=4, seed=1, cycle_length=cycle_length)
+    with pytest.raises(GraphError, match="k >= 3"):
+        build_detection_gadget(d, 2, ((0,), tuple(range(1, n))))
+
+
+TAILS = Digraph.from_arcs(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+K8 = Graph.from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
+K8_ARCS = Digraph.from_arcs(8, [(u, v) for u in range(8) for v in range(8) if u != v])
+# (answer, repetitions run) for seeds 1..8 at reps=12: the directed
+# triangle with a tail survives a 3-colouring with probability 1/9, and K8
+# has a consistent 6-cycle whenever all six classes are non-empty.
+TRIANGLE_STREAM = [(True, 4), (True, 4), (True, 3), (False, 12),
+                   (False, 12), (True, 1), (False, 12), (True, 3)]
+K8_STREAM = [(True, 3), (False, 12), (True, 12), (True, 7),
+             (False, 12), (True, 1), (True, 1), (True, 4)]
+
+
+@pytest.mark.parametrize(
+    "detector, graph, k, expected",
+    [
+        (detect_directed_cycle, TAILS, 3, TRIANGLE_STREAM),
+        (detect_cycle_general_directed, TAILS, 3, TRIANGLE_STREAM),
+        (detect_cycle_degenerate, K8, 6, K8_STREAM),
+        (detect_cycle_degenerate, K8_ARCS, 6, K8_STREAM),
+    ],
+)
+def test_random_stream_is_pinned(monkeypatch, detector, graph, k, expected):
+    # Each repetition draws one colouring, n randrange(k) calls in vertex
+    # order from one random.Random(seed); the gadget and the layered
+    # detector therefore see the same colourings.
+    drawn = []
+    for module, name in ((cyclehom.detect, "_random_partition"),
+                         (cyclehom.general, "layered_subgraph")):
+        def counting(*args, original=getattr(module, name)):
+            drawn.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    got = []
+    for seed in range(1, 9):
+        drawn.clear()
+        got.append((detector(graph, k, reps=12, seed=seed), len(drawn)))
+    assert got == expected
+
+
+def _random_small_graphs(rng, count):
+    """Random graphs, digraphs and directed ``Graph``s on 3-10 vertices."""
+    for trial in range(count):
+        n = rng.randint(3, 10)
+        density = rng.uniform(0.15, 0.6)
+        kind = trial % 3
+        pairs = [
+            (u, v) for u in range(n) for v in range(n)
+            if (u < v or kind and u != v) and rng.random() < density
+        ]
+        if kind == 0:
+            yield Graph.from_edges(n, pairs)
+        elif kind == 1:
+            yield Digraph.from_arcs(n, pairs)
+        else:
+            yield Graph.from_edges(n, pairs, True)
+
+
+def test_short_cycle_search_matches_brute_force():
+    # k < 6 skips colour coding for an exhaustive search, which must agree
+    # with the oracle's independent one.
+    rng = random.Random(62)
+    positive = 0
+    for g in _random_small_graphs(rng, 300):
+        for k in (3, 4, 5):
+            expected = has_simple_cycle_brute(g, k)
+            assert detect_cycle_degenerate(g, k) == expected, (g, k)
+            positive += expected
+    assert positive > 200
