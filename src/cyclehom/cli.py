@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from .comb import hom_alt_cycle_comb
-from .detect import detect_cycle_degenerate, detect_directed_cycle
+from .detect import EXHAUSTIVE_BELOW_K, detect_cycle_degenerate, detect_directed_cycle
 from .general import detect_cycle_general_directed, hom_cycle_general, repetitions
 from .graphs import Digraph, Graph, GraphError, degeneracy_ordering, parse_graph
 from .matmul import CostParams, cost_model_ck
@@ -29,21 +29,25 @@ from .walks import build_walk_weights
 THREADS_ENV = "CYCLEHOM_THREADS"
 
 
-def _read_graph(path: str, directed: bool) -> Graph:
-    if path == "-":
-        return parse_graph(sys.stdin.read(), directed=directed)
-    with open(path, "rb") as fh:
-        return parse_graph(fh.read(), directed=directed)
+def _read_graph(path: str, directed: bool) -> Graph | Digraph:
+    try:
+        if path == "-":
+            # Bytes where stdin has them, so that parse_graph checks the encoding.
+            text = getattr(sys.stdin, "buffer", sys.stdin).read()
+        else:
+            with open(path, "rb") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise GraphError(f"cannot read {path}: {exc.strerror or exc}") from None
+    return parse_graph(text, directed=directed)
 
 
-def _graph_stats(g: Graph) -> dict:
-    stats = {"n": g.vertex_count, "m": g.edge_count}
-    if not g.directed:
-        stats["degeneracy"] = degeneracy_ordering(g).degeneracy
+def _graph_stats(g: Graph | Digraph) -> dict:
+    if isinstance(g, Digraph):
+        m, und = g.arc_count(), g.underlying_graph()
     else:
-        und = g.to_digraph().underlying_graph()
-        stats["degeneracy"] = degeneracy_ordering(und).degeneracy
-    return stats
+        m, und = g.edge_count, g
+    return {"n": g.vertex_count, "m": m, "degeneracy": degeneracy_ordering(und).degeneracy}
 
 
 def _emit(report: dict) -> None:
@@ -61,8 +65,7 @@ def _cmd_hom_count(args) -> int:
     if args.engine == "brute":
         count = trace_power(g, args.cycle)
     elif args.general:
-        target: Graph | Digraph = g.to_digraph() if g.directed else g
-        count = hom_cycle_general(target, args.cycle, ops=ops)
+        count = hom_cycle_general(g, args.cycle, ops=ops)
     else:
         cp = CostParams(omega=args.omega)
         count = hom_cycle_degenerate(g, args.cycle, engine=args.engine, cp=cp, ops=ops)
@@ -110,9 +113,11 @@ def _cmd_detect(args) -> int:
         detector = detect_cycle_degenerate
     g = _read_graph(args.input, args.directed)
     seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
+    # Below EXHAUSTIVE_BELOW_K the degenerate detector ignores reps and
+    # seed, so one call answers for every worker.
+    exhaustive = detector is detect_cycle_degenerate and args.k < EXHAUSTIVE_BELOW_K
     started = time.perf_counter()
-    target: Graph | Digraph = g.to_digraph() if g.directed else g
-    found = _maybe_parallel_detect(detector, target, args, seed, workers)
+    found = _maybe_parallel_detect(detector, g, args, seed, 1 if exhaustive else workers)
     elapsed = (time.perf_counter() - started) * 1000.0
     report = {
         "found": found,

@@ -32,6 +32,10 @@ from .general import _colour_coding, repetitions
 from .graphs import Digraph, Graph, GraphError, cycle_core, degeneracy_ordering
 from .pipeline import EngineError, hom_cycle_degenerate
 
+# detect_cycle_degenerate searches exhaustively, ignoring reps and seed, for
+# k below this bound.
+EXHAUSTIVE_BELOW_K = 6
+
 
 @dataclass(frozen=True)
 class PartitionedGraph:
@@ -60,7 +64,7 @@ class PartitionedGraph:
         return len(self.parts)
 
     def directed(self) -> bool:
-        return isinstance(self.graph, Digraph) or self.graph.directed
+        return isinstance(self.graph, Digraph)
 
 
 @dataclass(frozen=True)
@@ -207,11 +211,7 @@ def _dominating_total(
     """Inclusion-exclusion over the part sets connected and dominating in
     the part graph Q; ``closed[i]`` is the mask of part i and its
     neighbours in Q."""
-    if isinstance(g, Digraph):
-        make = Digraph.from_arcs
-    else:
-        def make(n, pairs):
-            return Graph.from_edges(n, pairs, g.directed)
+    make = Digraph.from_arcs if isinstance(g, Digraph) else Graph.from_edges
     p = len(closed)
     full = (1 << p) - 1
     total = 0
@@ -371,12 +371,13 @@ def detect_cycle_degenerate(
     Random k-partitions keep only part-consistent edges; transversals of
     the consistent subgraph are exactly the simple k-cycles colored
     consistently, counted through the degenerate-graph pipeline.  For
-    k < 6 plain exhaustive search is faster and used instead.
+    k < ``EXHAUSTIVE_BELOW_K`` plain exhaustive search is faster and used
+    instead.
     """
     reps = repetitions(k, reps, delta)
-    if k < 6:
+    if k < EXHAUSTIVE_BELOW_K:
         return _find_short_cycle(g, k)
-    directed = isinstance(g, Digraph) or g.directed
+    directed = isinstance(g, Digraph)
     # The degeneracy is at most the maximum degree, so only a graph with a
     # vertex of degree above the threshold needs its ordering to decide.
     if not directed and max(map(len, g.adjacency), default=0) > degeneracy_warning:

@@ -43,16 +43,16 @@ from .ops import OpCounter
 
 
 def _adjacency(g: Graph | Digraph, core: bool):
-    """(total degree, forward lists, reverse lists, directed flag).
+    """(total degree, forward lists, reverse lists, whether g is a Digraph).
 
-    With ``core`` a digraph keeps only its cycle core's arcs, over the
-    vertices they touch, relabeled densely; an undirected graph is always
-    kept whole.
+    With ``core`` a ``Digraph`` keeps only its cycle core's arcs, over the
+    vertices they touch, relabeled densely; a ``Graph`` is always kept
+    whole, its one adjacency serving as both lists.
     """
-    if isinstance(g, Graph) and not g.directed:
+    if isinstance(g, Graph):
         return [len(a) for a in g.adjacency], g.adjacency, g.adjacency, False
     n = g.vertex_count
-    arcs = g.arcs() if isinstance(g, Digraph) else g.edges()
+    arcs = g.arcs()
     if core:
         index: dict[int, int] = {}
         arcs = [

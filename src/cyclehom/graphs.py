@@ -1,4 +1,5 @@
-"""Graph and digraph representations, edge-list parsing, degeneracy orderings.
+"""Undirected graphs (``Graph``) and digraphs (``Digraph``), edge-list
+parsing, degeneracy orderings.
 
 Vertex ids are dense integers assigned at parse time in order of first
 appearance.  All structures are immutable after construction and safe to
@@ -8,7 +9,7 @@ share between threads.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 class GraphError(Exception):
@@ -21,17 +22,14 @@ class ParseError(GraphError):
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple graph, undirected or directed, over dense vertex ids.
+    """A simple undirected graph over dense vertex ids.
 
-    For undirected graphs every edge is stored in both endpoint lists and
-    ``edge_count`` is the number of undirected edges.  For directed graphs
-    ``adjacency[u]`` holds the out-neighbors of ``u`` and ``edge_count`` is
-    the number of arcs.
+    Every edge is stored in both endpoint lists and ``edge_count`` is the
+    number of edges.  Directed input is a ``Digraph``.
     """
 
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
-    directed: bool
     edge_count: int
     labels: tuple[str, ...] = field(default=(), compare=False)
 
@@ -42,39 +40,25 @@ class Graph:
         return len(self.adjacency[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as ordered pairs; undirected edges once, as (min, max)."""
-        out = []
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if self.directed or u < v:
-                    out.append((u, v))
-        return out
+        """All edges, each once as (min, max)."""
+        return [(u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v]
 
     @staticmethod
-    def from_edges(
-        n: int, edges: list[tuple[int, int]], directed: bool = False
-    ) -> "Graph":
+    def from_edges(n: int, edges: list[tuple[int, int]]) -> "Graph":
         """A graph on vertices 0..n-1 from distinct, loop-free edge pairs.
 
         The pairs are not checked: callers pass edges of a graph they
-        already hold, each undirected edge once.
+        already hold, each edge once.
         """
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             adj[u].append(v)
-            if not directed:
-                adj[v].append(u)
+            adj[v].append(u)
         return Graph(
             vertex_count=n,
             adjacency=tuple(tuple(sorted(a)) for a in adj),
-            directed=directed,
             edge_count=len(edges),
         )
-
-    def to_digraph(self) -> "Digraph":
-        if not self.directed:
-            raise GraphError("cannot view an undirected graph as a digraph")
-        return Digraph.from_arcs(self.vertex_count, self.edges())
 
 
 @dataclass(frozen=True)
@@ -86,6 +70,7 @@ class Digraph:
     in_degree: tuple[int, ...]
     max_out_degree: int
     is_dag: bool
+    labels: tuple[str, ...] = field(default=(), compare=False)
 
     @staticmethod
     def from_arcs(
@@ -160,20 +145,25 @@ class DegeneracyOrdering:
     degeneracy: int
 
 
-def parse_graph(text: str | bytes, directed: bool = False) -> Graph:
-    """Parse whitespace-separated "u v" lines into a Graph.
+def parse_graph(text: str | bytes, directed: bool = False) -> Graph | Digraph:
+    """Parse whitespace-separated "u v" lines into a Graph, or a Digraph
+    when ``directed``.
 
     Lines starting with '#' and blank lines are ignored.  Vertex labels may
     be arbitrary tokens; they are densified to integer ids in order of first
-    appearance.  Self-loops and repeated edges are rejected.
+    appearance.  Self-loops, repeated edges and bytes that are not UTF-8
+    are rejected.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = text.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"line {lineno}: not UTF-8 text") from None
     ids: dict[str, int] = {}
     labels: list[str] = []
     adj: list[list[int]] = []
     seen: set[tuple[int, int]] = set()
-    count = 0
 
     def vid(tok: str) -> int:
         if tok not in ids:
@@ -199,13 +189,13 @@ def parse_graph(text: str | bytes, directed: bool = False) -> Graph:
         adj[u].append(v)
         if not directed:
             adj[v].append(u)
-        count += 1
 
+    if directed:
+        return replace(Digraph._from_out_lists(adj), labels=tuple(labels))
     return Graph(
         vertex_count=len(labels),
         adjacency=tuple(tuple(sorted(lst)) for lst in adj),
-        directed=directed,
-        edge_count=count,
+        edge_count=len(seen),
         labels=tuple(labels),
     )
 
@@ -222,7 +212,7 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
     Returns the removal order together with the exact degeneracy (the
     maximum degree seen at removal time).
     """
-    if g.directed:
+    if isinstance(g, Digraph):
         raise GraphError("degeneracy ordering requires an undirected graph")
     n = g.vertex_count
     deg = [g.degree(v) for v in range(n)]
@@ -250,7 +240,7 @@ def orient_acyclic(g: Graph, ordering: DegeneracyOrdering) -> Digraph:
 
     The result is acyclic with max out-degree at most ``ordering.degeneracy``.
     """
-    if g.directed:
+    if isinstance(g, Digraph):
         raise GraphError("orient_acyclic requires an undirected graph")
     n = g.vertex_count
     if len(ordering.order) != n or sorted(ordering.order) != list(range(n)):

@@ -17,7 +17,7 @@ class OracleBudgetError(GraphError):
 def _adjacency_sets(g: Graph | Digraph) -> tuple[int, list[set[int]], bool]:
     if isinstance(g, Digraph):
         return g.vertex_count, [set(nbrs) for nbrs in g.out_adjacency], True
-    return g.vertex_count, [set(nbrs) for nbrs in g.adjacency], g.directed
+    return g.vertex_count, [set(nbrs) for nbrs in g.adjacency], False
 
 
 def hom_count_brute(

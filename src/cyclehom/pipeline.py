@@ -65,15 +65,14 @@ def _oriented_pair(g: Graph | Digraph, length: int):
     and descending DAGs first, and both are packed at the one width
     computed from their underlying graph.  Returns (pair, degeneracy).
     """
-    if isinstance(g, Graph) and not g.directed:
+    if isinstance(g, Graph):
         ordering = degeneracy_ordering(g)
         dag = orient_acyclic(g, ordering)
         w = build_walk_weights(dag, length - 1, _width(g, length))
         return WalkPair(along=w, against=w), ordering.degeneracy
-    d = g.to_digraph() if isinstance(g, Graph) else g
-    underlying = d.underlying_graph()
+    underlying = g.underlying_graph()
     ordering = degeneracy_ordering(underlying)
-    ascending, descending = split_by_ordering(d, ordering)
+    ascending, descending = split_by_ordering(g, ordering)
     width = _width(underlying, length)
     along = build_walk_weights(ascending, length - 1, width)
     against = build_walk_weights(descending, length - 1, width)

@@ -43,7 +43,7 @@ def random_graph(rng, n, p):
                 adj[i].append(j)
                 adj[j].append(i)
                 m += 1
-    return Graph(n, tuple(tuple(a) for a in adj), False, m)
+    return Graph(n, tuple(tuple(a) for a in adj), m)
 
 
 def report(criterion, ok, detail):
@@ -85,7 +85,7 @@ def three_degenerate_graph(rng, n, window=8):
             adj[u].append(v)
             adj[v].append(u)
             m += 1
-    return Graph(n, tuple(tuple(sorted(a)) for a in adj), False, m)
+    return Graph(n, tuple(tuple(sorted(a)) for a in adj), m)
 
 
 def test_criterion_2_cross_engine_equality():
@@ -322,7 +322,7 @@ def sparse_graph(rng, n, m):
     for u, v in sorted(edges):
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, tuple(tuple(sorted(a)) for a in adj), False, len(edges))
+    return Graph(n, tuple(tuple(sorted(a)) for a in adj), len(edges))
 
 
 def fitted_exponent(sizes, counts):

@@ -262,3 +262,108 @@ def test_malformed_numeric_options_are_usage_errors(tmp_path, capsys, argv):
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and f"argument {option}:" in errors[0]
+
+
+# A digraph with a reciprocal pair: 4 arcs, and the underlying graph is a
+# triangle of degeneracy 2.
+RECIPROCAL = "a b\nb a\nb c\nc a\n"
+
+
+@pytest.mark.parametrize("engine", [[], ["--general"], ["--engine", "brute"]])
+def test_directed_hom_count_reports_are_pinned(tmp_path, capsys, engine):
+    path = write(tmp_path, "recip.txt", RECIPROCAL)
+    for cycle, count in ((4, "2"), (5, "5")):
+        code, report = run_cli(
+            capsys,
+            ["hom-count", "--cycle", str(cycle), "--directed", "--input", path] + engine,
+        )
+        assert code == 0
+        assert (report["n"], report["m"], report["degeneracy"]) == (3, 4, 2)
+        assert report["count"] == count
+
+
+@pytest.mark.parametrize("detector", [[], ["--general"], ["--degenerate"]])
+def test_directed_detect_reports_are_pinned(tmp_path, capsys, detector):
+    path = write(tmp_path, "recip.txt", RECIPROCAL)
+    code, report = run_cli(
+        capsys,
+        ["detect", "--k", "3", "--directed", "--input", path, "--seed", "4", "--reps", "30"]
+        + detector,
+    )
+    assert code == 0
+    assert (report["n"], report["m"], report["degeneracy"]) == (3, 4, 2)
+    assert report["found"] is True
+
+
+def _assert_one_error_line(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8", "stdin not utf-8"])
+def test_unreadable_input_is_one_error_line(tmp_path, capsys, monkeypatch, kind):
+    import io
+
+    path = tmp_path / "input.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind != "missing":
+        path.write_bytes(b"0 1\n\xff\xfe 2\n")
+    for directed in ([], ["--directed"]):
+        if kind == "stdin not utf-8":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes())))
+        source = "-" if kind == "stdin not utf-8" else str(path)
+        code = main(["hom-count", "--cycle", "3", "--input", source] + directed)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+def test_missing_input_leaves_no_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cyclehom
+
+    src = str(Path(cyclehom.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["hom-count", "--cycle", "3", "--input", str(tmp_path / "missing.txt")]
+    out = subprocess.run(
+        [sys.executable, "-m", "cyclehom.cli"] + argv, capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 1 and out.stdout == ""
+    assert "Traceback" not in out.stderr and out.stderr.startswith("error:")
+
+
+def test_exhaustive_degenerate_detect_runs_once_with_workers(tmp_path, capsys, monkeypatch):
+    # Below EXHAUSTIVE_BELOW_K the degenerate detector ignores reps and seed,
+    # so two workers would repeat the same search.
+    import concurrent.futures
+
+    import cyclehom.detect as detect
+
+    searches = []
+    search = detect._find_short_cycle
+
+    def counting(g, k):
+        searches.append(k)
+        return search(g, k)
+
+    monkeypatch.setattr(detect, "_find_short_cycle", counting)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+    monkeypatch.setenv("CYCLEHOM_THREADS", "2")
+    path = write(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n4 0\n")
+    for k, found in ((5, True), (4, False)):
+        searches.clear()
+        code, report = run_cli(
+            capsys, ["detect", "--k", str(k), "--input", path, "--seed", "3", "--reps", "8"]
+        )
+        assert code == 0 and report["found"] is found
+        assert searches == [k]

@@ -37,7 +37,7 @@ def random_graph(rng, n, p):
                 adj[i].append(j)
                 adj[j].append(i)
                 m += 1
-    return Graph(n, tuple(tuple(a) for a in adj), False, m)
+    return Graph(n, tuple(tuple(a) for a in adj), m)
 
 
 def brute_transversal_homs(pg: PartitionedGraph) -> int:
@@ -76,7 +76,7 @@ def brute_transversal_homs(pg: PartitionedGraph) -> int:
 
 def cycle_graph(k):
     adj = tuple(tuple(sorted({(i - 1) % k, (i + 1) % k})) for i in range(k))
-    return Graph(k, adj, False, k)
+    return Graph(k, adj, k)
 
 
 def test_transversal_examples():
@@ -91,7 +91,7 @@ def test_transversal_examples():
     assert result.hom_transversals == 6
     assert result.cycle_transversals == 1
 
-    edgeless = Graph(3, ((), (), ()), False, 0)
+    edgeless = Graph(3, ((), (), ()), 0)
     result = transversal_count(PartitionedGraph(edgeless, ((0,), (1,), (2,))))
     assert result.hom_transversals == 0
 
@@ -567,10 +567,10 @@ def _cyclic_part_graph(rng, p):
     return [(order[i], order[(i + 1) % p]) for i in range(p)]
 
 
-def _as_directed_graph(pg):
-    """The same partitioned digraph as a ``Graph(directed=True)``."""
+def _rebuilt_digraph(pg):
+    """The same partitioned digraph, rebuilt from its arcs."""
     g = pg.graph
-    return PartitionedGraph(Graph.from_edges(g.vertex_count, g.arcs(), True), pg.parts)
+    return PartitionedGraph(Digraph.from_arcs(g.vertex_count, g.arcs()), pg.parts)
 
 
 def _core_part_graph_is_cycle(pg):
@@ -616,7 +616,7 @@ def test_transversal_count_on_cyclic_part_graphs(monkeypatch):
     # or one per direction (directed), whatever order Q visits the parts in.
     rng = random.Random(59)
     engine, calls = _recording_graphs(monkeypatch)
-    positive = {"graph": 0, "digraph": 0, "directed Graph": 0}
+    positive = {"graph": 0, "digraph": 0, "rebuilt digraph": 0}
     cyclic = both_directions = 0
     for trial in range(150):
         p = 3 + trial % 5
@@ -624,8 +624,8 @@ def test_transversal_count_on_cyclic_part_graphs(monkeypatch):
         pg = partitioned_on_part_graph(
             rng, p, _cyclic_part_graph(rng, p), directed=kind != "graph"
         )
-        if kind == "directed Graph":
-            pg = _as_directed_graph(pg)
+        if kind == "rebuilt digraph":
+            pg = _rebuilt_digraph(pg)
         expected = brute_transversal_homs(pg)
         calls.clear()
         got = transversal_count(pg, hom_engine=engine).hom_transversals
@@ -685,12 +685,11 @@ def test_cyclic_part_graph_takes_one_count_per_direction(monkeypatch):
         both = Digraph.from_arcs(
             p, [(i, (i + 1) % p) for i in range(p)] + [((i + 1) % p, i) for i in range(p)]
         )
-        for graph in (both, Graph.from_edges(p, both.arcs(), True)):
-            calls.clear()
-            pg = PartitionedGraph(graph, tuple((v,) for v in order))
-            assert transversal_count(pg, hom_engine=engine).cycle_transversals == 2
-            assert [keep for keep, _ in calls] == [tuple(range(p))] * 2
-            assert all(isinstance(g, Digraph) for _, g in calls)
+        calls.clear()
+        pg = PartitionedGraph(both, tuple((v,) for v in order))
+        assert transversal_count(pg, hom_engine=engine).cycle_transversals == 2
+        assert [keep for keep, _ in calls] == [tuple(range(p))] * 2
+        assert all(isinstance(g, Digraph) for _, g in calls)
 
 
 def test_engine_errors_still_raise_on_a_directed_cycle():
@@ -763,7 +762,7 @@ def test_random_stream_is_pinned(monkeypatch, detector, graph, k, expected):
 
 
 def _random_small_graphs(rng, count):
-    """Random graphs, digraphs and directed ``Graph``s on 3-10 vertices."""
+    """Random graphs (one in three) and digraphs on 3-10 vertices."""
     for trial in range(count):
         n = rng.randint(3, 10)
         density = rng.uniform(0.15, 0.6)
@@ -772,12 +771,7 @@ def _random_small_graphs(rng, count):
             (u, v) for u in range(n) for v in range(n)
             if (u < v or kind and u != v) and rng.random() < density
         ]
-        if kind == 0:
-            yield Graph.from_edges(n, pairs)
-        elif kind == 1:
-            yield Digraph.from_arcs(n, pairs)
-        else:
-            yield Graph.from_edges(n, pairs, True)
+        yield Digraph.from_arcs(n, pairs) if kind else Graph.from_edges(n, pairs)
 
 
 def test_short_cycle_search_matches_brute_force():

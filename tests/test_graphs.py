@@ -26,7 +26,7 @@ def random_graph(rng, n, p):
                 adj[i].append(j)
                 adj[j].append(i)
                 m += 1
-    return Graph(n, tuple(tuple(a) for a in adj), False, m)
+    return Graph(n, tuple(tuple(a) for a in adj), m)
 
 
 def test_parse_basic():
@@ -44,7 +44,9 @@ def test_parse_duplicate_edge_rejected():
         parse_graph("0 1\n1 0")
     # but a distinct arc for directed input
     d = parse_graph("0 1\n1 0", directed=True)
-    assert d.edge_count == 2
+    assert d.arc_count() == 2
+    with pytest.raises(ParseError, match="line 3"):
+        parse_graph("0 1\n1 0\n0 1", directed=True)
 
 
 def test_parse_densifies_labels():
@@ -52,6 +54,9 @@ def test_parse_densifies_labels():
     assert g.vertex_count == 3
     assert g.edge_count == 2
     assert g.labels == ("a", "b", "c")
+    d = parse_graph("b a\nc b\na c", directed=True)
+    assert isinstance(d, Digraph) and d.arc_count() == 3
+    assert d.labels == ("b", "a", "c")
 
 
 def test_parse_errors_name_the_line():
@@ -59,6 +64,9 @@ def test_parse_errors_name_the_line():
         parse_graph("0 0")
     with pytest.raises(ParseError, match="line 3"):
         parse_graph("0 1\n# fine\n0 1 2")
+    for directed in (False, True):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_graph(b"0 1\n\xff\xfe 2\n", directed=directed)
 
 
 def test_parse_comments_and_blanks():
@@ -76,9 +84,11 @@ def test_degeneracy_examples():
 
 
 def test_degeneracy_rejects_directed():
-    d = parse_graph("0 1", directed=True)
-    with pytest.raises(GraphError):
-        degeneracy_ordering(d)
+    for d in (parse_graph("0 1", directed=True), Digraph.from_arcs(2, [(0, 1)])):
+        with pytest.raises(GraphError):
+            degeneracy_ordering(d)
+        with pytest.raises(GraphError):
+            orient_acyclic(d, degeneracy_ordering(d.underlying_graph()))
 
 
 def brute_degeneracy(g: Graph) -> int:
@@ -136,7 +146,7 @@ def test_orient_acyclic_star_center_last():
 
 
 def test_orient_acyclic_edgeless():
-    g = Graph(4, ((), (), (), ()), False, 0)
+    g = Graph(4, ((), (), (), ()), 0)
     ordering = degeneracy_ordering(g)
     d = orient_acyclic(g, ordering)
     assert d.is_dag and d.arc_count() == 0
@@ -198,15 +208,16 @@ def test_write_round_trip_exact_relabel():
         lines = "\n".join(f"{u} {v}" for u, v in rng.sample(pairs, len(pairs)))
         g = parse_graph(lines, directed=directed)
         g2 = parse_graph(write_graph(g), directed=directed)
-        relabel = appearance_relabel(sorted(g.edges()))
+        pairs_of = Digraph.arcs if directed else Graph.edges
+        relabel = appearance_relabel(sorted(pairs_of(g)))
         assert g2.vertex_count == len(relabel)
-        assert g2.edge_count == g.edge_count
-        expected = {(relabel[u], relabel[v]) for u, v in g.edges()}
+        assert len(pairs_of(g2)) == len(pairs_of(g))
+        expected = {(relabel[u], relabel[v]) for u, v in pairs_of(g)}
         if not directed:
             expected = {(min(u, v), max(u, v)) for u, v in expected}
-        assert set(g2.edges()) == expected
+        assert set(pairs_of(g2)) == expected
         if all(relabel[v] == v for v in relabel):
-            assert g2.adjacency == g.adjacency
+            assert g2 == g
             identical += 1
     assert identical > 20  # the identity case is common, not vacuous
 
@@ -220,7 +231,7 @@ def test_write_round_trip_identical_ids_canonical():
 
 
 def test_split_by_ordering_partitions_arcs():
-    d = parse_graph("0 1\n1 2\n2 0", directed=True).to_digraph()
+    d = parse_graph("0 1\n1 2\n2 0", directed=True)
     ordering = degeneracy_ordering(d.underlying_graph())
     up, down = split_by_ordering(d, ordering)
     assert up.is_dag and down.is_dag
@@ -285,7 +296,15 @@ def test_graph_from_edges_matches_parse():
                 if i != j and (directed or i < j) and rng.random() < 0.3
             }
             g = parse_graph("".join(f"{u} {v}\n" for u, v in sorted(pairs)), directed)
-            assert Graph.from_edges(g.vertex_count, g.edges(), directed) == g
+            ids = appearance_relabel(sorted(pairs))
+            assert g.labels == tuple(str(t) for t in ids)
+            relabelled = [(ids[u], ids[v]) for u, v in pairs]
+            if directed:
+                assert isinstance(g, Digraph)
+                assert Digraph.from_arcs(g.vertex_count, relabelled) == g
+            else:
+                assert Graph.from_edges(g.vertex_count, g.edges()) == g
+                assert Graph.from_edges(g.vertex_count, relabelled) == g
 
 
 def test_split_halves_equal_checked_construction():

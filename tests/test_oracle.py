@@ -14,7 +14,7 @@ from cyclehom.oracle import (
 
 def cycle_graph(k):
     adj = tuple(tuple(sorted({(i - 1) % k, (i + 1) % k})) for i in range(k))
-    return Graph(k, adj, False, k)
+    return Graph(k, adj, k)
 
 
 def test_hom_examples():
@@ -22,7 +22,7 @@ def test_hom_examples():
     assert hom_count_brute(cycle_graph(3), k3) == 6
     arc = Digraph.from_arcs(2, [(0, 1)])
     assert hom_count_brute(arc, arc) == 1
-    edgeless = Graph(3, ((), (), ()), False, 0)
+    edgeless = Graph(3, ((), (), ()), 0)
     assert hom_count_brute(cycle_graph(4), edgeless) == 0
 
 
@@ -47,7 +47,7 @@ def test_brute_agrees_with_trace():
                     adj[i].append(j)
                     adj[j].append(i)
                     m += 1
-        g = Graph(n, tuple(tuple(a) for a in adj), False, m)
+        g = Graph(n, tuple(tuple(a) for a in adj), m)
         for k in range(3, 8):
             assert hom_count_brute(cycle_graph(k), g) == trace_power(g, k)
 
@@ -76,8 +76,8 @@ def test_has_simple_cycle():
 
 
 def test_budgets_enforced():
-    big = Graph(20, tuple(() for _ in range(20)), False, 0)
+    big = Graph(20, tuple(() for _ in range(20)), 0)
     with pytest.raises(OracleBudgetError):
         hom_count_brute(cycle_graph(3), big)
     with pytest.raises(OracleBudgetError):
-        trace_power(Graph(70, tuple(() for _ in range(70)), False, 0), 3)
+        trace_power(Graph(70, tuple(() for _ in range(70)), 0), 3)

@@ -21,7 +21,7 @@ def graph_from_edges(n, edges):
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, tuple(tuple(sorted(a)) for a in adj), False, len(edges))
+    return Graph(n, tuple(tuple(sorted(a)) for a in adj), len(edges))
 
 
 def cycle_pattern(length, directed):

@@ -24,7 +24,7 @@ def random_graph(rng, n, p):
                 adj[i].append(j)
                 adj[j].append(i)
                 m += 1
-    return Graph(n, tuple(tuple(a) for a in adj), False, m)
+    return Graph(n, tuple(tuple(a) for a in adj), m)
 
 
 def random_digraph(rng, n, p):
@@ -40,7 +40,7 @@ def test_spec_values():
     assert hom_cycle_degenerate(K3, 6) == 66
     assert hom_cycle_degenerate(K3, 3) == 6
     assert hom_cycle_degenerate(C6, 6) == 132
-    empty = Graph(5, ((), (), (), (), ()), False, 0)
+    empty = Graph(5, ((), (), (), (), ()), 0)
     for ell in (3, 4, 7):
         assert hom_cycle_degenerate(empty, ell) == 0
 
@@ -94,7 +94,6 @@ def test_ordering_invariance_under_relabeling():
         relabeled = Graph(
             g.vertex_count,
             tuple(tuple(sorted(a)) for a in adj),
-            False,
             g.edge_count,
         )
         assert hom_cycle_degenerate(relabeled, 6) == reference
