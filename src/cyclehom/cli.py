@@ -227,6 +227,10 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.min_exp > args.max_exp:
+        print(f"error: --min-exp {args.min_exp} is above --max-exp {args.max_exp}",
+              file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     rows = []
     for exp in range(args.min_exp, args.max_exp + 1):
@@ -275,6 +279,7 @@ _FRACTION = _arg_type(Fraction, lambda v: True, "a fraction such as 5/2")
 _POSITIVE_FRACTION = _arg_type(Fraction, lambda v: v > 0, "a positive fraction such as 1/100")
 _PROBABILITY = _arg_type(float, lambda v: 0 < v < 1, "a number strictly between 0 and 1")
 _AT_LEAST_ONE = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
+_NONNEGATIVE = _arg_type(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_algebra)
 
     p = sub.add_parser("bench", help="operation-count scaling on random DAGs")
-    p.add_argument("--min-exp", type=int, default=8)
-    p.add_argument("--max-exp", type=int, default=12)
+    p.add_argument("--min-exp", type=_NONNEGATIVE, default=8)
+    p.add_argument("--max-exp", type=_NONNEGATIVE, default=12)
     p.add_argument("--half-length", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)

@@ -25,8 +25,10 @@ On packed weights the caller reads one coefficient, z**length, so comb
 works to length budgets: each cherry entry covers two of the 2l runs and
 has no slot below 2, so T keeps only slots <= length - 2l + 2 and a row
 after s steps only slots <= length - 2(l - s); entries that mask to 0
-are dropped.  An undirected input's T is symmetric and built half-way:
-each unordered sink pair of a source is multiplied once and mirrored.
+are dropped.  T is accumulated straight from the packed walk rows into
+one dict per sink, masked row by row.  An undirected input's T is
+symmetric and built half-way: each unordered sink pair of a source is
+multiplied once, under its smaller sink, and mirrored.
 The path tables are assemblies of the same rows, kept as cross-check
 references: ``path_table_low``, ``path_table_high``, their ``PathTable``
 and ``DegreeSignature`` types and the ``_low_tables``/``_high_tables``
@@ -98,46 +100,49 @@ def _cherry_adjacency(
 ) -> tuple[dict[tuple[int, int], int], list[list[tuple[int, int]]]]:
     """Single-source two-sink path weights, as a table and partner lists.
 
-    The table keys (first, second) sink; partners[v] lists every (y, w)
-    with a nonzero aggregate: the cherry relation's out-lists, which the
-    closed-walk steps consume.  When both sides are one object the relation
-    is symmetric: each unordered sink pair of a source is multiplied once
-    and the table mirrored.  ``keep`` masks every entry (a slot budget);
-    entries that mask to 0 are dropped.
+    Accumulates one dict per first sink, rel[x][y] = sum over sources z of
+    against(z, x) * along(z, y).  The table keys (first, second) sink;
+    partners[x] lists every (y, w) of rel[x]: the cherry relation's
+    out-lists, which the closed-walk steps consume.  When both sides are
+    one object the relation is symmetric: each unordered sink pair of a
+    source is multiplied once, under its smaller sink, and mirrored.
+    ``keep`` masks every entry (a slot budget); entries that mask to 0 are
+    dropped.
     """
-    table: dict[tuple[int, int], int] = {}
-    get = table.get
+    rel: list[dict[int, int]] = [{} for _ in range(wl.vertex_count)]
     symmetric = wl is wa
-    for z in range(wl.vertex_count):
-        along_out = wl.out_items(z)
+    for z, along_row in enumerate(wl.rows):
+        if not along_row:
+            continue
         if symmetric:
             if ops:
-                ops.add(len(along_out) ** 2)
-            # out-lists ascend, so this half holds the pairs x <= y
-            for i, (x, wax) in enumerate(along_out):
-                for y, wly in along_out[i:]:
-                    key = (x, y)
-                    val = wax * wly
-                    got = get(key)
-                    table[key] = val if got is None else got + val
+                ops.add(len(along_row) ** 2)
+            # sorted, so this half holds the pairs x <= y
+            items = sorted(along_row.items())
+            for i, (x, wax) in enumerate(items):
+                row = rel[x]
+                get = row.get
+                for y, wly in items[i:]:
+                    row[y] = get(y, 0) + wax * wly
             continue
-        against_out = wa.out_items(z)
+        against_row = wa.rows[z]
         if ops:
-            ops.add(len(against_out) * len(along_out))
-        for x, wax in against_out:
-            for y, wly in along_out:
-                key = (x, y)
-                val = wax * wly
-                got = get(key)
-                table[key] = val if got is None else got + val
+            ops.add(len(against_row) * len(along_row))
+        along_items = along_row.items()
+        for x, wax in against_row.items():
+            row = rel[x]
+            get = row.get
+            for y, wly in along_items:
+                row[y] = get(y, 0) + wax * wly
     if keep is not None:
-        table = {key: m for key, value in table.items() if (m := value & keep)}
+        rel = [{y: m for y, value in row.items() if (m := value & keep)} for row in rel]
     if symmetric:
-        table.update([((y, x), value) for (x, y), value in table.items() if x != y])
-    partners: list[list[tuple[int, int]]] = [[] for _ in range(wl.vertex_count)]
-    for (v, y), weight in table.items():
-        partners[v].append((y, weight))
-    return table, partners
+        for x, row in enumerate(rel):
+            for y, value in row.items():
+                if y > x:
+                    rel[y][x] = value
+    table = {(x, y): value for x, row in enumerate(rel) for y, value in row.items()}
+    return table, [list(row.items()) for row in rel]
 
 
 def _weighted_split(partners, high: list[bool], transpose: bool = False):
@@ -433,6 +438,8 @@ def hom_two_paths(
 
     This is the homomorphism count of the single-source cycle orientation
     made of two internally disjoint directed paths of lengths x1 and x2.
+    A cross-check reference over the per-length view: the pipeline reads
+    all splits at once from the packed rows.
     """
     if x1 < 1 or x2 < 1:
         raise GraphError("path lengths must be >= 1")

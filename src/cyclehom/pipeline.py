@@ -12,9 +12,11 @@ a distinguished source.  Hence
 
     hom(C_l, G) = sum over p of (l / p) * S_p,
 
-with S_p the z**l coefficient for base size p (p = 1 handled by the
-two-path tables).  Directed inputs follow the same decomposition with arcs
-split into ascending and descending walk weights.
+with S_p the z**l coefficient for base size p.  At p = 1 the one source
+and the one sink split the cycle into two walks, so S_1 is the z**l
+coefficient of sum over x, y of along[x][y] * against[x][y], read in one
+pass over the walk rows.  Directed inputs follow the same decomposition
+with arcs split into ascending and descending walk weights.
 """
 
 from __future__ import annotations
@@ -131,14 +133,11 @@ def _base_count(
 ) -> int:
     """S_p: combined count of subdivisions of the 2p-source base of size l."""
     if p == 1:
-        total = 0
-        for a in range(1, length):
-            total += hom_two_paths(pair, a, length - a, ops)
+        total = _two_path_sum(pair, length, ops)
         if cross_check:
-            direct = sum(
-                _one_source_direct(pair, a, length - a) for a in range(1, length)
-            )
-            if direct != total:
+            split = sum(hom_two_paths(pair, a, length - a) for a in range(1, length))
+            direct = sum(_one_source_direct(pair, a, length - a) for a in range(1, length))
+            if not total == split == direct:
                 raise EngineError("two-path count disagrees with direct enumeration")
         return total
 
@@ -158,21 +157,46 @@ def _run_engine(view: WalkPair, p: int, length: int, engine: str, cp: CostParams
     return hom_alt_cycle_matmul(view, p, cp=cp, ops=ops)
 
 
+def _two_path_sum(pair: WalkPair, length: int, ops: OpCounter | None) -> int:
+    """S_1 in one pass over the rows: the z**length coefficient of
+    sum over x, y of along[x][y] * against[x][y].
+
+    An a-walk x -> y along and a (length - a)-walk x -> y against meet in
+    slot length of the product, so the sum adds hom_two_paths(pair, a,
+    length - a) over every split a; ``ring.degree_slot_width`` keeps that
+    slot exact.  With ``ops``, one op per (x, y, a) whose two counts are
+    both nonzero, the products the split-by-split count makes.
+    """
+    along, against = pair.along, pair.against
+    width = along.width
+    if against is along:
+        common = [(w, w) for row in along.rows for w in row.values()]
+    else:
+        common = [
+            (wa, wb)
+            for ra, rb in zip(along.rows, against.rows)
+            for y, wa in ra.items()
+            if (wb := rb.get(y))
+        ]
+    if ops:
+        mask = (1 << width) - 1
+        ops.add(sum(
+            1
+            for wa, wb in common
+            for a in range(1, length)
+            if wa >> (width * a) & mask and wb >> (width * (length - a)) & mask
+        ))
+    return coefficient(sum(wa * wb for wa, wb in common), length, width)
+
+
 def _one_source_direct(pair: WalkPair, a: int, b: int) -> int:
     """Linear-time single-source orientation count by fresh walk expansion.
 
     Cross-check path: recounts walks by breadth-first sweeps over the
-    original arcs instead of the prebuilt per-length tables.
+    source DAGs' arcs instead of the packed rows.
     """
 
-    def arc_lists(per_length, n: int) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for (x, y, step) in per_length:
-            if step == 1:
-                adj[x].append(y)
-        return adj
-
-    def endpoints(adj: list[list[int]], source: int, steps: int) -> dict[int, int]:
+    def endpoints(adj, source: int, steps: int) -> dict[int, int]:
         frontier = {source: 1}
         for _ in range(steps):
             nxt: dict[int, int] = {}
@@ -184,15 +208,10 @@ def _one_source_direct(pair: WalkPair, a: int, b: int) -> int:
                 break
         return frontier
 
-    n = pair.vertex_count
-    along_adj = arc_lists(pair.along.per_length, n)
-    against_adj = (
-        along_adj
-        if pair.against is pair.along
-        else arc_lists(pair.against.per_length, n)
-    )
+    along_adj = pair.along.source.out_adjacency
+    against_adj = pair.against.source.out_adjacency
     total = 0
-    for u in range(n):
+    for u in range(pair.vertex_count):
         ea = endpoints(along_adj, u, a)
         if not ea:
             continue

@@ -164,8 +164,9 @@ def degree_slot_width(n: int, length: int, max_degree: int) -> int:
     underlying graph).
 
     Bound: slot i of every value the degenerate pipeline forms (walk
-    weight, cherry entry, closed-walk row, join, matmul chain segment or
-    final count) is at most n * (2D)**i.  Proof: such a slot adds up
+    weight, cherry entry, closed-walk row, join, matmul chain segment,
+    the p = 1 sum over x, y of along(x, y) * against(x, y), or final
+    count) is at most n * (2D)**i.  Proof: such a slot adds up
     tuples of directed walks in the two orientation DAGs whose lengths sum
     to i, glued end to end at shared sources and sinks.  Reading the tuple
     in order, source walks reversed, gives one walk of length i in the
@@ -174,8 +175,13 @@ def degree_slot_width(n: int, length: int, max_degree: int) -> int:
     injective.  G has at most n starts and D**i walks of length i from
     each, and there are at most 2**i sets of split positions.  A row or a
     segment starts at one vertex; sums over anchors stay within the n
-    starts.  Since n < 2**bitlen(n) and 2D < 2**bitlen(2D), slot i <=
-    length is below 2**width at this width.
+    starts.  The p = 1 sum is the case of two walks glued at x and y: the
+    along walk x -> y followed by the against walk read back from y to x
+    is a closed walk from x split once at y.  Since n < 2**bitlen(n) and
+    2D < 2**bitlen(2D), slot i <= length is below 2**width at this width.
+    A DAG's out-degree is at most D, and D**(length - 1) is below
+    2**((length - 1) * bitlen(D)), so ``walks.build_walk_weights``' up-front
+    overflow check always passes at this width.
     """
     return n.bit_length() + length * (2 * max_degree).bit_length()
 

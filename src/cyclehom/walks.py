@@ -1,13 +1,18 @@
-"""Walk-count weights over a bounded-out-degree DAG.
+"""Walk-count weights over a bounded-out-degree DAG, as packed rows.
 
-From a DAG this builds, for every ordered pair (x, y) and every length
-1 <= l <= horizon, the exact number of directed x->y walks with l edges,
-plus one int weight per pair: the walk-count polynomial sum_l count_l z**l
-evaluated at z = 2**width (see ``ring``).  A width > 0 packs each count
-into its own ``width``-bit slot, which is what lets the cycle engines
-separate contributions by total walk length; width 0 is the plain sum over
-lengths.  One forward sweep per source fills the per-length counts and the
-packed weights together.
+For every vertex x of a DAG this builds one row {y: weight}: the
+walk-count polynomial sum_l count_l(x, y) z**l over the lengths
+1 <= l <= horizon, evaluated at z = 2**width (see ``ring``).  A width > 0
+packs each count into its own ``width``-bit slot, which is what lets the
+cycle engines separate contributions by total walk length; width 0 is the
+plain sum over lengths.
+
+One pass in reverse topological order builds every row from the rows of
+its out-neighbours, row(x) = sum over arcs x -> c of z * (1 + row(c)),
+masked to the horizon.  Every later phase of the degenerate pipeline reads
+these rows.  The per-length table, the (x, y)-keyed weights, the support
+digraph and the out-item lists are derived views, built on demand for the
+cross-checks and the tests.
 """
 
 from __future__ import annotations
@@ -15,67 +20,119 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Digraph, GraphError
-from .ring import pack, slot_mask
+from .ring import slot_mask
 
 
 @dataclass(frozen=True)
 class WeightedDigraph:
-    """A digraph whose arcs carry per-length walk counts and a packed weight.
+    """Packed walk weights, one row per vertex.
 
-    ``per_length[(x, y, l)]`` is the number of l-edge walks from x to y in
-    the source DAG; ``ring_view[(x, y)]`` is sum_l per_length[(x, y, l)] *
-    2**(width * l) over the lengths up to ``horizon``.  ``digraph`` is the
-    support: the arc (x, y) exists exactly when the weight is nonzero.
+    ``rows[x][y]`` is sum_l count_l(x, y) * 2**(width * l) over the lengths
+    l <= ``horizon`` with a walk, where count_l(x, y) is the number of
+    l-edge walks from x to y in ``source``; a pair with no such walk has no
+    entry.  ``source`` is the DAG the rows were built from: a width-0 view
+    is restricted, and its per-length counts are decoded, by rebuilding
+    from it.
     """
 
-    digraph: Digraph
+    rows: list[dict[int, int]]
+    source: Digraph = field(compare=False)
     horizon: int
-    per_length: dict[tuple[int, int, int], int] = field(compare=False)
-    ring_view: dict[tuple[int, int], int] = field(compare=False)
     width: int = 0
 
     @property
     def vertex_count(self) -> int:
-        return self.digraph.vertex_count
+        return len(self.rows)
 
     def out_items(self, x: int) -> list[tuple[int, int]]:
-        return [(y, self.ring_view[(x, y)]) for y in self.digraph.out_adjacency[x]]
+        return list(self.rows[x].items())
+
+    @property
+    def ring_view(self) -> dict[tuple[int, int], int]:
+        """The weights keyed by (x, y)."""
+        return {(x, y): weight for x, row in enumerate(self.rows) for y, weight in row.items()}
+
+    @property
+    def digraph(self) -> Digraph:
+        """The support: the arc (x, y) exists exactly when x's row has y."""
+        # The keys are distinct pairs of a DAG's walk relation: a DAG again.
+        return Digraph._from_out_lists([list(row) for row in self.rows], is_dag=True)
+
+    @property
+    def per_length(self) -> dict[tuple[int, int, int], int]:
+        """{(x, y, l): count_l(x, y)} over the nonzero counts: the slots of
+        the rows, or at width 0 of rows rebuilt from ``source``."""
+        rows, width = self.rows, self.width
+        if not width:
+            width = _exact_width(self.source, self.horizon)
+            rows = _packed_rows(self.source, self.horizon, width)
+        mask = (1 << width) - 1
+        return {
+            (x, y, step): count
+            for x, row in enumerate(rows)
+            for y, weight in row.items()
+            for step in range(1, self.horizon + 1)
+            if (count := weight >> (width * step) & mask)
+        }
 
 
-def _packed(per_length: dict, top: int) -> dict[tuple[int, int], int]:
-    """Sum the counts of walks no longer than ``top`` into one int per pair
-    (width 0)."""
-    ring_view: dict[tuple[int, int], int] = {}
-    for (x, y, step), count in per_length.items():
-        if step <= top:
-            key = (x, y)
-            ring_view[key] = ring_view.get(key, 0) + count
-    return ring_view
+def _topological_order(d: Digraph) -> list[int]:
+    """Kahn's algorithm: every arc points forward in the returned order."""
+    indeg = list(d.in_degree)
+    order = [v for v, k in enumerate(indeg) if not k]
+    adjacency = d.out_adjacency
+    for u in order:
+        for v in adjacency[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                order.append(v)
+    return order
 
 
-def _weighted(
-    n: int, horizon: int, per_length: dict, ring_view: dict, width: int
-) -> WeightedDigraph:
-    # The keys are distinct pairs of a DAG's walk relation: a DAG again.
-    out: list[list[int]] = [[] for _ in range(n)]
-    for x, y in ring_view:
-        out[x].append(y)
-    return WeightedDigraph(
-        digraph=Digraph._from_out_lists(out, is_dag=True), horizon=horizon,
-        per_length=per_length, ring_view=ring_view, width=width,
-    )
+def _packed_rows(d: Digraph, horizon: int, width: int) -> list[dict[int, int]]:
+    """Every vertex's row at ``width`` > 0, sinks first.
+
+    Slot l - 1 of the unshifted sum over out-neighbours c of 1 + row(c)
+    counts the l-walks from x, so one shift moves every count to its slot
+    and one mask drops the walks longer than the horizon (and the carries
+    of their slot, which only move upward).
+    """
+    keep = slot_mask(horizon, width)
+    rows: list[dict[int, int]] = [{} for _ in range(d.vertex_count)]
+    adjacency = d.out_adjacency
+    for x in reversed(_topological_order(d)):
+        if not adjacency[x]:
+            continue
+        row: dict[int, int] = {}
+        get = row.get
+        for c in adjacency[x]:
+            row[c] = get(c, 0) + 1
+            for y, weight in rows[c].items():
+                row[y] = get(y, 0) + weight
+        rows[x] = {y: m for y, weight in row.items() if (m := weight << width & keep)}
+    return rows
+
+
+def _exact_width(d: Digraph, horizon: int) -> int:
+    """The narrowest width whose slots hold every count of walks up to
+    ``horizon`` edges: at most max_out_degree**horizon walks leave a
+    vertex."""
+    return max(1, (d.max_out_degree**horizon).bit_length())
 
 
 def build_walk_weights(d: Digraph, horizon: int, width: int = 0) -> WeightedDigraph:
     """Count all walks of length up to ``horizon`` between every pair.
 
-    Each pair's weight packs count_l into slot l at ``width`` bits per slot
-    (``ring.pack``, which raises on a count that does not fit); width 0 is
-    the plain sum over lengths.  A cycle count's coefficients up to z**l
-    stay exact at ``ring.degree_slot_width(n, l, D)``, with D the maximum
-    degree of the graph whose walks it adds up.  Requires a DAG; runs one
-    forward sweep per source, so time and output size are
-    n * max_out_degree**horizon in the worst case.
+    Each pair's weight packs count_l into slot l at ``width`` bits per slot;
+    width 0 is the plain sum over lengths, built at the narrowest exact
+    width and summed slot by slot.  A cycle count's coefficients up to
+    z**l stay exact at ``ring.degree_slot_width(n, l, D)``, with D the
+    maximum degree of the graph whose walks it adds up.  Raises GraphError
+    up front when max_out_degree**horizon, the most walks that can leave a
+    vertex, does not fit ``width`` bits, since a count over its slot would
+    carry into the next one.  Requires a DAG; one pass in reverse
+    topological order, with n * max_out_degree**horizon entries in the
+    worst case.
     """
     if horizon < 1:
         raise GraphError("walk horizon must be >= 1")
@@ -83,29 +140,21 @@ def build_walk_weights(d: Digraph, horizon: int, width: int = 0) -> WeightedDigr
         raise GraphError("slot width must be >= 0")
     if not d.is_dag:
         raise GraphError("walk weights require an acyclic digraph")
-    n = d.vertex_count
-    per_length: dict[tuple[int, int, int], int] = {}
-    ring_view: dict[tuple[int, int], int] = {}
-    adjacency = d.out_adjacency
-    for x in range(n):
-        if not adjacency[x]:
-            continue
-        frontier = {x: 1}
-        weights: dict[int, int] = {}
-        for step in range(1, horizon + 1):
-            nxt: dict[int, int] = {}
-            for u, cnt in frontier.items():
-                for v in adjacency[u]:
-                    nxt[v] = nxt.get(v, 0) + cnt
-            if not nxt:
-                break
-            for y, cnt in nxt.items():
-                per_length[(x, y, step)] = cnt
-                weights[y] = weights.get(y, 0) + pack(cnt, step, width)
-            frontier = nxt
-        for y, weight in weights.items():
-            ring_view[(x, y)] = weight
-    return _weighted(n, horizon, per_length, ring_view, width)
+    if width:
+        if (d.max_out_degree**horizon) >> width:
+            raise GraphError(
+                f"walks of up to {horizon} edges at out-degree {d.max_out_degree} "
+                f"do not fit a {width}-bit slot"
+            )
+        return WeightedDigraph(_packed_rows(d, horizon, width), d, horizon, width)
+    exact = _exact_width(d, horizon)
+    mask = (1 << exact) - 1
+    slots = range(exact, exact * (horizon + 1), exact)
+    rows = [
+        {y: sum(weight >> shift & mask for shift in slots) for y, weight in row.items()}
+        for row in _packed_rows(d, horizon, exact)
+    ]
+    return WeightedDigraph(rows, d, horizon)
 
 
 def restrict_view(w: WeightedDigraph, max_length: int) -> WeightedDigraph:
@@ -114,20 +163,18 @@ def restrict_view(w: WeightedDigraph, max_length: int) -> WeightedDigraph:
     Used by the cycle pipeline to derive, from one full walk-count pass, the
     per-base-size views whose arc weights never exceed the length any single
     subdivision path can attain.  A packed ``w`` keeps its width, and with
-    it the source's exact-coefficient bound: this is one slot mask per
-    weight.  At width 0 the sums are rebuilt from the per-length counts.
-    ``per_length`` is shared with ``w``: it keeps the counts up to the
-    source horizon.
+    it the source's exact-coefficient bound: this is one slot mask per row
+    entry, and entries that mask to 0 are dropped.  At width 0 the sums
+    are rebuilt from the source DAG.
     """
     if max_length < 1:
         raise GraphError("walk length bound must be >= 1")
     horizon = min(w.horizon, max_length)
-    if w.width:
-        keep = slot_mask(horizon, w.width)
-        ring_view = {key: m for key, value in w.ring_view.items() if (m := value & keep)}
-    else:
-        ring_view = _packed(w.per_length, horizon)
-    return _weighted(w.vertex_count, horizon, w.per_length, ring_view, w.width)
+    if not w.width:
+        return build_walk_weights(w.source, horizon)
+    keep = slot_mask(horizon, w.width)
+    rows = [{y: m for y, weight in row.items() if (m := weight & keep)} for row in w.rows]
+    return WeightedDigraph(rows, w.source, horizon, w.width)
 
 
 @dataclass(frozen=True)
@@ -154,15 +201,15 @@ def as_pair(w: WeightedDigraph | WalkPair) -> WalkPair:
 
 
 def union_in_degrees(pair: WalkPair) -> list[int]:
-    """In-degree of each vertex over the union of both weight supports."""
-    n = pair.vertex_count
+    """In-degree of each vertex over the union of both weight supports:
+    the number of rows that hold it on either side."""
+    indeg = [0] * pair.vertex_count
     if pair.along is pair.against:
-        return list(pair.along.digraph.in_degree)
-    indeg = [0] * n
-    seen: set[tuple[int, int]] = set()
-    for side in (pair.along, pair.against):
-        for u, v in side.digraph.arcs():
-            if (u, v) not in seen:
-                seen.add((u, v))
-                indeg[v] += 1
+        for row in pair.along.rows:
+            for y in row:
+                indeg[y] += 1
+        return indeg
+    for along, against in zip(pair.along.rows, pair.against.rows):
+        for y in along.keys() | against.keys():
+            indeg[y] += 1
     return indeg

@@ -185,10 +185,8 @@ def test_rows_are_masked_to_their_own_budget():
     # but a row after two steps holds z^8, over its budget 8 - 2 = 6
     width, k = 6, 4
     star = Digraph.from_arcs(k + 1, [(0, v) for v in range(1, k + 1)])
-    w = WeightedDigraph(
-        digraph=star, horizon=2, per_length={},
-        ring_view={(0, v): pack(1, 2, width) for v in range(1, k + 1)}, width=width,
-    )
+    rows = [{v: pack(1, 2, width) for v in range(1, k + 1)}] + [{} for _ in range(k)]
+    w = WeightedDigraph(rows=rows, source=star, horizon=2, width=width)
     plain_ops, masked_ops = OpCounter(), OpCounter()
     plain = hom_alt_cycle_comb(w, 3, ops=plain_ops)
     masked = hom_alt_cycle_comb(w, 3, ops=masked_ops, length=8)

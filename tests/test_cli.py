@@ -149,6 +149,30 @@ def test_bench_subcommand(capsys):
     assert all(row["op_counter"] > 0 for row in report["rows"])
 
 
+def test_bench_counts_are_pinned(capsys):
+    # the width-0, horizon-1 walk build on DAGs whose arcs point to lower ids
+    code, report = run_cli(capsys, ["bench", "--min-exp", "4", "--max-exp", "6"])
+    assert code == 0
+    assert [(row["n"], row["count"], row["op_counter"]) for row in report["rows"]] == [
+        (16, "1222", 187),
+        (32, "1870", 479),
+        (64, "6803", 1082),
+    ]
+
+
+@pytest.mark.parametrize("min_exp, max_exp", [("-1", "2"), ("0", "-2"), ("3", "2")])
+def test_bench_exponent_errors_are_usage_errors(capsys, min_exp, max_exp):
+    argv = ["bench", "--min-exp", min_exp, "--max-exp", max_exp]
+    try:
+        code = main(argv)
+    except SystemExit as err:
+        code = err.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
 def test_usage_error_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["hom-count", "--input", "nope.txt"])  # missing --cycle

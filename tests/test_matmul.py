@@ -50,12 +50,7 @@ def test_cherry_table_explicit_weights():
     from cyclehom.walks import WeightedDigraph
 
     support = Digraph.from_arcs(3, [(0, 1), (0, 2)])
-    w = WeightedDigraph(
-        digraph=support,
-        horizon=1,
-        per_length={(0, 1, 1): 2, (0, 2, 1): 3},
-        ring_view={(0, 1): 2, (0, 2): 3},
-    )
+    w = WeightedDigraph(rows=[{1: 2, 2: 3}, {}, {}], source=support, horizon=1)
     table = build_cherry_table(w).entries
     assert table[(1, 2)] == 6
     assert table[(2, 1)] == 6

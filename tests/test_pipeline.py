@@ -9,10 +9,19 @@ import pytest
 
 import cyclehom
 import cyclehom.matmul
+import cyclehom.pipeline
+from cyclehom.comb import hom_two_paths
 from cyclehom.graphs import Digraph, Graph, GraphError, parse_graph
 from cyclehom.matmul import CostParams, cost_model_ck
 from cyclehom.oracle import enumerate_cycle_orientations, hom_count_brute, trace_power
-from cyclehom.pipeline import _engine_for, hom_cycle_degenerate
+from cyclehom.ops import OpCounter
+from cyclehom.pipeline import (
+    EngineError,
+    _engine_for,
+    _oriented_pair,
+    _two_path_sum,
+    hom_cycle_degenerate,
+)
 
 
 def random_graph(rng, n, p):
@@ -171,3 +180,43 @@ def test_counting_at_omega_2_leaves_numpy_out():
         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
     )
     assert out.stdout.split() == ["258", "False"]
+
+
+def reciprocal_digraph(rng, n, p, share):
+    """A random digraph in which about ``share`` of the arcs have their
+    reverse arc too."""
+    arcs = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                arcs.add((u, v) if rng.random() < 0.5 else (v, u))
+                if rng.random() < share:
+                    arcs |= {(u, v), (v, u)}
+    return Digraph.from_arcs(n, sorted(arcs))
+
+
+def test_one_pass_two_path_sum_matches_the_split_counts():
+    rng = random.Random(1720)
+    for trial in range(30):
+        n = rng.randint(1, 10)
+        if trial % 2:
+            g = reciprocal_digraph(rng, n, 0.5, 0.4)
+        else:
+            g = random_graph(rng, n, rng.choice((0.3, 0.6)))
+        for length in range(3, 11):
+            pair, _ = _oriented_pair(g, length)
+            one_ops, split_ops = OpCounter(), OpCounter()
+            split = sum(hom_two_paths(pair, a, length - a, split_ops) for a in range(1, length))
+            assert _two_path_sum(pair, length, one_ops) == split
+            assert one_ops.count == split_ops.count
+
+
+def test_cross_check_catches_a_wrong_two_path_sum(monkeypatch):
+    g = reciprocal_digraph(random.Random(1721), 8, 0.6, 0.5)
+    assert hom_cycle_degenerate(g, 6, cross_check=True) == trace_power(g, 6)
+    right = cyclehom.pipeline._two_path_sum
+    monkeypatch.setattr(
+        cyclehom.pipeline, "_two_path_sum", lambda *args: right(*args) + 1
+    )
+    with pytest.raises(EngineError):
+        hom_cycle_degenerate(g, 6, cross_check=True)

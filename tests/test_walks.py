@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from cyclehom.graphs import Digraph, GraphError
+from cyclehom.graphs import Digraph, Graph, GraphError
+from cyclehom.pipeline import _oriented_pair
 from cyclehom.ring import coefficient, slot_width
 from cyclehom.walks import build_walk_weights, restrict_view
 
@@ -138,3 +139,65 @@ def test_weight_supports_equal_checked_construction():
             short = restrict_view(w, rng.randint(1, horizon))
             for weights in (w, short):
                 assert weights.digraph == Digraph.from_arcs(n, list(weights.ring_view))
+
+
+def shuffled_dag(rng, n, p):
+    """A random DAG whose vertex ids are a random permutation of its
+    topological order."""
+    label = list(range(n))
+    rng.shuffle(label)
+    return Digraph.from_arcs(
+        n, [(label[i], label[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    )
+
+
+def test_rows_match_matrix_powers_on_unordered_ids():
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        d = shuffled_dag(rng, n, rng.choice((0.3, 0.5, 0.8)))
+        horizon = rng.randint(1, 5)
+        powers = [matrix_power_walks(d, length) for length in range(1, horizon + 1)]
+        for width in (0, slot_width(n, horizon)):
+            w = build_walk_weights(d, horizon, width)
+            for x in range(n):
+                for y in range(n):
+                    counts = [power[x][y] for power in powers]
+                    weight = w.rows[x].get(y, 0)
+                    assert (y in w.rows[x]) == any(counts)
+                    if width:
+                        slots = [coefficient(weight, i, width) for i in range(horizon + 2)]
+                        assert slots == [0] + counts + [0]
+                    else:
+                        assert weight == sum(counts)
+
+
+def test_width_below_the_walk_bound_raises():
+    rng = random.Random(68)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        d = shuffled_dag(rng, n, rng.choice((0.4, 0.8)))
+        horizon = rng.randint(1, 5)
+        bound = (d.max_out_degree**horizon).bit_length()
+        for width in range(1, bound + 2):
+            if width < bound:
+                with pytest.raises(GraphError):
+                    build_walk_weights(d, horizon, width)
+            else:
+                build_walk_weights(d, horizon, width)
+
+
+def test_pipeline_width_never_hits_the_walk_bound():
+    rng = random.Random(69)
+    for trial in range(60):
+        n = rng.randint(1, 12)
+        density = rng.choice((0.2, 0.5, 0.9))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+        if trial % 2:
+            g = Digraph.from_arcs(n, pairs)
+        else:
+            g = Graph.from_edges(n, sorted({(min(u, v), max(u, v)) for u, v in pairs}))
+        for length in range(3, 13):
+            pair, _ = _oriented_pair(g, length)
+            for side in (pair.along, pair.against):
+                assert side.source.max_out_degree ** (length - 1) >> side.width == 0
