@@ -29,6 +29,22 @@ are dropped.  T is accumulated straight from the packed walk rows into
 one dict per sink, masked row by row.  An undirected input's T is
 symmetric and built half-way: each unordered sink pair of a source is
 multiplied once, under its smaller sink, and mirrored.
+
+Such a budgeted call (``length`` set, width > 0, as the pipeline makes
+it) counts l = 2 and l = 3 in closed form on T instead: tr(T**2) is one
+pass over T's entries, and
+
+    tr(T**3) = sum_x T[x][x]**3 + 3 * sum_{x != y} T[x][x] T[x][y] T[y][x]
+             + 3 * sum_{triangles} (T[x][y] T[y][z] T[z][x]
+                                    + T[x][z] T[z][y] T[y][x])
+
+over the triangles of T's support graph, listed from rank-ordered
+out-lists (degree order, as the paper orients G by degeneracy) in
+O(a(T) * |T|) time for the arboricity a.  Two-entry products are masked
+to slots <= length - 2, the row budget after two steps.  Both results
+keep only slots 0..length, so every route returns the same value.  l >= 4,
+width 0 and unbudgeted calls run the low/high engine (``_low_high``).
+
 The path tables are assemblies of the same rows, kept as cross-check
 references: ``path_table_low``, ``path_table_high``, their ``PathTable``
 and ``DegreeSignature`` types and the ``_low_tables``/``_high_tables``
@@ -383,6 +399,112 @@ def path_table_high(
     return PathTable(kind="high", r=r, threshold=delta, entries=entries, signature=sig)
 
 
+def _trace_square(table, partners, symmetric: bool, ops: OpCounter | None) -> int:
+    """tr(T**2) = sum over x, y of T[x][y] * T[y][x], in one pass over T.
+
+    Symmetric T sums the squares of its entries; otherwise each entry looks
+    up its transpose in ``table``.  With ``ops``, one op per entry scanned
+    and one per product.
+    """
+    if symmetric:
+        total = sum(v * v for row in partners for _, v in row)
+        products = len(table)
+    else:
+        get = table.get
+        total = 0
+        products = 0
+        for (x, y), v in table.items():
+            if back := get((y, x)):
+                total += v * back
+                products += 1
+    if ops:
+        ops.add(len(table) + products)
+    return total
+
+
+def _trace_cube(table, partners, symmetric: bool, keep: int, ops: OpCounter | None) -> int:
+    """tr(T**3) from the diagonal, the support pairs and the triangles of T,
+    by the expansion in the module docstring.
+
+    The support graph joins x != y when T[x][y] or T[y][x] is nonzero.  It
+    is oriented from lower to higher rank (support degree, ties by id), so
+    each pair is read once and each triangle found once, from its lowest
+    vertex, by intersecting out-lists: O(a(T) * |T|) for the arboricity a
+    (Chiba and Nishizeki, "Arboricity and subgraph listing algorithms",
+    1985).  Every two-entry product is masked by ``keep``.  With ``ops``,
+    one op per entry of T read, one per out-list entry probed for a
+    triangle's third vertex (the shorter of the two lists intersected) and
+    one per two- or three-entry product.
+    """
+    n = len(partners)
+    diag = [0] * n
+    if symmetric:
+        degree = [len(row) for row in partners]
+    else:
+        degree = [0] * n
+    for (x, y), v in table.items():
+        if x == y:
+            diag[x] = v
+            if symmetric:
+                degree[x] -= 1
+        elif not symmetric and (x < y or (y, x) not in table):
+            degree[x] += 1
+            degree[y] += 1
+    rank = [0] * n
+    for r, x in enumerate(sorted(range(n), key=degree.__getitem__)):
+        rank[x] = r
+
+    cubes = sum((d * d & keep) * d for d in diag if d)
+    pairs = 0
+    cycles = 0
+    pair_products = 0
+    triple_products = 0
+    if symmetric:
+        # out[x][y] = T[x][y] for support neighbours y ranked above x
+        out = [{y: v for y, v in row if rank[y] > rx} for row, rx in zip(partners, rank)]
+        for x, ox in enumerate(out):
+            dx = diag[x]
+            for y, v in ox.items():
+                if dx or diag[y]:
+                    pairs += (v * v & keep) * (dx + diag[y])
+                    pair_products += 1
+                oy = out[y]
+                common = ox.keys() & oy.keys()
+                triple_products += len(common)
+                for z in common:
+                    cycles += (v * oy[z] & keep) * ox[z]
+        total = cubes + 3 * pairs + 6 * cycles
+    else:
+        # out[x][y] = (T[x][y], T[y][x]) for support neighbours y ranked above x
+        out = [{} for _ in range(n)]
+        get = table.get
+        for (x, y), v in table.items():
+            if x == y:
+                continue
+            if rank[x] < rank[y]:
+                out[x][y] = (v, get((y, x), 0))
+            elif (y, x) not in table:
+                out[y][x] = (0, v)
+        for x, ox in enumerate(out):
+            dx = diag[x]
+            for y, (xy, yx) in ox.items():
+                if xy and yx and (dx or diag[y]):
+                    pairs += (xy * yx & keep) * (dx + diag[y])
+                    pair_products += 1
+                oy = out[y]
+                common = ox.keys() & oy.keys()
+                triple_products += 2 * len(common)
+                for z in common:
+                    yz, zy = oy[z]
+                    xz, zx = ox[z]
+                    cycles += (xy * yz & keep) * zx + (xz * zy & keep) * yx
+        total = cubes + 3 * pairs + 3 * cycles
+    if ops:
+        probes = sum(min(len(ox), len(out[y])) for ox in out for y in ox)
+        ops.add(len(table) + probes + sum(1 for d in diag if d) + pair_products + triple_products)
+    return total
+
+
 def hom_alt_cycle_comb(
     w: WeightedDigraph | WalkPair,
     half_length: int,
@@ -393,26 +515,53 @@ def hom_alt_cycle_comb(
     """Total weight of homomorphisms from the alternating 2l-cycle.
 
     ``half_length`` is l, the number of sources (= sinks): the count is the
-    weighted count of closed l-walks in the cherry relation.  The threshold
-    defaults to ceil(n ** (1 / ceil(l/2))), which balances the low and high
-    row costs.
+    weighted count of closed l-walks in the cherry relation, tr(T**l).
+    The threshold defaults to ceil(n ** (1 / ceil(l/2))), which balances
+    the low and high row costs.
 
     ``length`` is the only coefficient the caller reads, z**length, of
     packed weights (width > 0).  Every cherry entry covers two runs and
     has no slot below 2, so an entry can reach z**length only through its
     slots <= length - 2l + 2, and a row after s steps only through its
     slots <= length - 2(l - s).  With ``length`` set, entries and rows are
-    masked to these budgets and entries that mask to 0 are dropped: only
-    the result's slots above z**length change.  At width 0 or without
-    ``length`` nothing is masked.
+    masked to these budgets and entries that mask to 0 are dropped.  Such
+    a budgeted call at l = 2 or 3 reads tr(T**2) in one pass over T and
+    tr(T**3) from T's diagonal, support pairs and rank-ordered triangles
+    (``_trace_square``, ``_trace_cube``); at l >= 4 it runs the low/high
+    engine.  Its result keeps only slots 0..length, so both routes return
+    the same value.  At width 0 or without ``length`` nothing is masked and
+    every l runs the low/high engine.
     """
     ell = half_length
     if ell < 2:
         raise GraphError("alternating cycle needs half-length >= 2")
     pair = as_pair(w)
-    n = pair.vertex_count
-    if n == 0:
+    if pair.vertex_count == 0:
         return 0
+    width = pair.along.width
+    if length is not None and width:
+        if length < 2 * ell:
+            return 0
+        if ell <= 3:
+            keep = slot_mask(length - 2 * ell + 2, width)
+            table, partners = _cherry_adjacency(pair.along, pair.against, ops, keep)
+            symmetric = pair.along is pair.against
+            if ell == 2:
+                total = _trace_square(table, partners, symmetric, ops)
+            else:
+                total = _trace_cube(table, partners, symmetric, slot_mask(length - 2, width), ops)
+            return total & slot_mask(length, width)
+    return _low_high(pair, ell, delta, ops, length)
+
+
+def _low_high(
+    pair: WalkPair, ell: int, delta: int | None, ops: OpCounter | None, length: int | None
+) -> int:
+    """tr(T**ell) by ``_closed_walks`` on the cherry relation, with the
+    length budgets of ``hom_alt_cycle_comb`` when ``length`` is set and the
+    weights are packed.  The pipeline's ``cross_check`` recounts its
+    closed-form base sizes here."""
+    n = pair.vertex_count
     if delta is None:
         delta = max(1, integer_ceil_root(n, (ell + 1) // 2))
     width = pair.along.width

@@ -21,7 +21,7 @@ with arcs split into ascending and descending walk weights.
 
 from __future__ import annotations
 
-from .comb import hom_alt_cycle_comb, hom_two_paths
+from .comb import _low_high, hom_alt_cycle_comb, hom_two_paths
 from .graphs import (
     Digraph,
     Graph,
@@ -98,7 +98,10 @@ def hom_cycle_degenerate(
     ``engine`` picks how alternating-cycle counts are computed: "comb" for
     the closed-walk engine, "matmul" for the matrix-chain engine, or "auto"
     (``_engine_for``: comb at every omega).  ``cp`` prices only matmul's
-    bracketing; execution is always classical.
+    bracketing; execution is always classical.  ``cross_check`` recounts
+    S_1 split by split and by direct enumeration, and S_2 and S_3 by the
+    low/high closed walks (``comb._low_high``), and raises ``EngineError``
+    on any disagreement.
     """
     if length < 3:
         raise GraphError("cycle length must be >= 3")
@@ -145,8 +148,12 @@ def _base_count(
     along = restrict_view(pair.along, max_run)
     against = along if pair.against is pair.along else restrict_view(pair.against, max_run)
     view = WalkPair(along=along, against=against)
-    result = _run_engine(view, p, length, engine, cp, ops)
-    return coefficient(result, length, along.width)
+    result = coefficient(_run_engine(view, p, length, engine, cp, ops), length, along.width)
+    if cross_check and p <= 3:
+        walked = _low_high(view, p, None, None, length)
+        if coefficient(walked, length, along.width) != result:
+            raise EngineError(f"closed-form count for base {p} disagrees with the closed walks")
+    return result
 
 
 def _run_engine(view: WalkPair, p: int, length: int, engine: str, cp: CostParams, ops):

@@ -3,18 +3,29 @@ from itertools import product
 
 import pytest
 
+import cyclehom.comb
 from cyclehom.comb import (
     DegreeSignature,
+    _low_high,
     hom_alt_cycle_comb,
     hom_two_paths,
     integer_ceil_root,
     path_table_high,
     path_table_low,
 )
-from cyclehom.graphs import Digraph, GraphError
+from cyclehom.graphs import Digraph, Graph, GraphError
 from cyclehom.matmul import hom_alt_cycle_matmul
+from cyclehom.ops import OpCounter
 from cyclehom.oracle import hom_count_brute
-from cyclehom.walks import WalkPair, build_walk_weights, union_in_degrees
+from cyclehom.pipeline import _oriented_pair
+from cyclehom.ring import pack, slot_mask, slot_width
+from cyclehom.walks import (
+    WalkPair,
+    WeightedDigraph,
+    build_walk_weights,
+    restrict_view,
+    union_in_degrees,
+)
 
 
 def alternating_cycle(half_length):
@@ -257,3 +268,175 @@ def test_hom_asymmetric_pairs_with_hubs():
             for delta in (1, 2, 3, default, 10**6):
                 assert hom_alt_cycle_comb(pair, ell, delta=delta) == reference
             assert hom_alt_cycle_comb(pair, ell) == reference
+
+
+def pipeline_views(g, length):
+    """The per-p views of base sizes 2 and 3 that the pipeline counts."""
+    pair, _ = _oriented_pair(g, length)
+    for p in (2, 3):
+        max_run = max(1, length - (2 * p - 1))
+        along = restrict_view(pair.along, max_run)
+        against = along if pair.against is pair.along else restrict_view(pair.against, max_run)
+        yield p, WalkPair(along=along, against=against)
+
+
+def random_rows(rng, n, width, horizon, density):
+    """Packed rows with random small coefficients in slots 1..horizon, on
+    arbitrary vertex pairs: x -> x and one-way entries included."""
+    rows = []
+    for _ in range(n):
+        row = {}
+        for y in range(n):
+            if rng.random() < density:
+                row[y] = sum(
+                    pack(rng.randint(0, 3), step, width) for step in range(1, horizon + 1)
+                ) or pack(1, 1, width)
+        rows.append(row)
+    return WeightedDigraph(rows=rows, source=Digraph.from_arcs(n, []), horizon=horizon, width=width)
+
+
+def assert_closed_forms_match_the_closed_walks(pair, lengths):
+    width = pair.along.width
+    for length in lengths:
+        for p in (2, 3):
+            closed = hom_alt_cycle_comb(pair, p, length=length)
+            walked = _low_high(pair, p, None, None, length)
+            mask = slot_mask(length, width)
+            assert closed == closed & mask == walked & mask, (p, length)
+
+
+def test_closed_forms_match_the_closed_walks_on_pipeline_views():
+    rng = random.Random(2101)
+    for trial in range(40):
+        n = rng.randint(1, 10)
+        density = rng.choice((0.3, 0.5, 0.8))
+        if trial % 2:
+            # every arc kept with its reverse at this rate: reciprocal pairs
+            arcs = set()
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < density:
+                        arcs.add((u, v) if rng.random() < 0.5 else (v, u))
+                        if rng.random() < 0.4:
+                            arcs |= {(u, v), (v, u)}
+            g = Digraph.from_arcs(n, sorted(arcs))
+        else:
+            g = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+            )
+        for length in range(4, 11):
+            for p, view in pipeline_views(g, length):
+                width = view.along.width
+                closed = hom_alt_cycle_comb(view, p, length=length)
+                walked = _low_high(view, p, None, None, length)
+                mask = slot_mask(length, width)
+                assert closed == closed & mask == walked & mask, (trial, p, length)
+
+
+def test_closed_forms_match_the_closed_walks_on_hand_built_pairs():
+    rng = random.Random(2102)
+    width = 8
+    diagonal = one_way = 0
+    for trial in range(30):
+        n = rng.randint(2, 9)
+        along = random_rows(rng, n, width, 2, 0.4)
+        against = random_rows(rng, n, width, 2, 0.4)
+        pair = WalkPair(along=along, against=against)
+        table = {
+            (x, y)
+            for z in range(n)
+            for x in against.rows[z]
+            for y in along.rows[z]
+        }
+        diagonal += any((x, x) in table for x in range(n))
+        one_way += any((y, x) not in table for x, y in table)
+        assert_closed_forms_match_the_closed_walks(pair, range(4, 11))
+        # one object on both sides: the symmetric closed forms
+        assert_closed_forms_match_the_closed_walks(WalkPair(along, along), range(4, 11))
+    assert diagonal and one_way
+
+
+def test_closed_forms_match_the_closed_walks_with_hubs():
+    rng = random.Random(2103)
+    n = 36
+    for _ in range(3):
+        width = slot_width(n, 10)
+        pair = WalkPair(
+            along=build_walk_weights(hub_dag(rng, n, (n - 1, n - 3)), 3, width),
+            against=build_walk_weights(hub_dag(rng, n, (n - 2, n - 5)), 3, width),
+        )
+        # the low/high engine's default threshold at l = 3 is 6
+        assert max(union_in_degrees(pair)) > integer_ceil_root(n, 2)
+        assert_closed_forms_match_the_closed_walks(pair, range(4, 11))
+        assert_closed_forms_match_the_closed_walks(WalkPair(pair.along, pair.along), range(4, 11))
+
+
+def test_closed_forms_on_empty_relations():
+    width = slot_width(4, 8)
+    for n in (1, 4):
+        w = build_walk_weights(Digraph.from_arcs(n, []), 3, width)
+        for pair in (WalkPair(w, w), WalkPair(w, build_walk_weights(Digraph.from_arcs(n, []), 3, width))):
+            assert_closed_forms_match_the_closed_walks(pair, range(4, 9))
+            assert hom_alt_cycle_comb(pair, 2, length=6) == hom_alt_cycle_comb(pair, 3, length=6) == 0
+
+
+def test_only_budgeted_base_sizes_two_and_three_skip_the_closed_walks(monkeypatch):
+    calls = []
+    original = cyclehom.comb._closed_walks
+
+    def spy(k, *args):
+        calls.append(k)
+        return original(k, *args)
+
+    monkeypatch.setattr(cyclehom.comb, "_closed_walks", spy)
+    dag = Digraph.from_arcs(5, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4), (3, 4)])
+    packed = build_walk_weights(dag, 3, slot_width(5, 9))
+    for p in (2, 3):
+        hom_alt_cycle_comb(packed, p, length=9)
+    assert calls == []
+    hom_alt_cycle_comb(packed, 4, length=9)  # p >= 4
+    hom_alt_cycle_comb(packed, 2)  # no length
+    hom_alt_cycle_comb(packed, 3)
+    hom_alt_cycle_comb(build_walk_weights(dag, 3), 3, length=9)  # width 0
+    assert calls == [4, 2, 3, 3]
+
+
+def leaf_star(k, width):
+    """Rows of a star whose k leaves are all z**1 from the centre: T is z**2
+    on every ordered leaf pair, diagonal included."""
+    rows = [{v: pack(1, 1, width) for v in range(1, k + 1)}] + [{} for _ in range(k)]
+    star = Digraph.from_arcs(k + 1, [(0, v) for v in range(1, k + 1)])
+    return WeightedDigraph(rows=rows, source=star, horizon=1, width=width)
+
+
+def test_closed_form_op_counts():
+    k, width = 4, 8
+    w = leaf_star(k, width)
+    square, cube = OpCounter(), OpCounter()
+    assert hom_alt_cycle_comb(w, 2, ops=square, length=4) == pack(k**2, 4, width)
+    assert hom_alt_cycle_comb(w, 3, ops=cube, length=6) == pack(k**3, 6, width)
+    cherry = k * k  # one op per sink pair of the centre
+    # tr(T^2): 16 entries scanned, 16 products
+    assert square.count == cherry + 16 + 16
+    # tr(T^3): 16 entries; the rank-ordered out-lists {j > i} probe
+    # min(3 - i, 3 - j) for every i < j, 4 in all; 4 cubes, 6 diagonal
+    # pair products and C(4, 3) = 4 triangles
+    assert cube.count == cherry + 16 + 4 + 4 + 6 + 4
+
+
+def test_triangle_route_counts_fewer_ops_on_a_dense_relation():
+    n = 12
+    complete = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    for length in (6, 8):
+        for p, view in pipeline_views(complete, length):
+            closed_ops, walked_ops = OpCounter(), OpCounter()
+            closed = hom_alt_cycle_comb(view, p, ops=closed_ops, length=length)
+            walked = _low_high(view, p, None, walked_ops, length)
+            assert closed == walked & slot_mask(length, view.along.width)
+            # at p = 2 both make one op per entry of T and one per product
+            # (one step and one join per anchor); at p = 3 the triangles
+            # beat the anchors' two-step rows
+            if p == 2:
+                assert closed_ops.count == walked_ops.count
+            else:
+                assert closed_ops.count < walked_ops.count

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cyclehom
+import cyclehom.comb
 import cyclehom.matmul
 import cyclehom.pipeline
 from cyclehom.comb import hom_two_paths
@@ -220,3 +221,17 @@ def test_cross_check_catches_a_wrong_two_path_sum(monkeypatch):
     )
     with pytest.raises(EngineError):
         hom_cycle_degenerate(g, 6, cross_check=True)
+
+
+@pytest.mark.parametrize("closed_form", ["_trace_square", "_trace_cube"])
+def test_cross_check_catches_a_wrong_closed_form(monkeypatch, closed_form):
+    g = reciprocal_digraph(random.Random(1722), 8, 0.6, 0.5)
+    u = random_graph(random.Random(1723), 8, 0.6)
+    for graph in (g, u):
+        assert hom_cycle_degenerate(graph, 7, cross_check=True) == trace_power(graph, 7)
+    right = getattr(cyclehom.comb, closed_form)
+    # doubling moves every nonzero z**l coefficient
+    monkeypatch.setattr(cyclehom.comb, closed_form, lambda *args: 2 * right(*args))
+    for graph in (g, u):
+        with pytest.raises(EngineError, match="closed-form"):
+            hom_cycle_degenerate(graph, 7, cross_check=True)
