@@ -4,8 +4,8 @@ hom(H, .) is multiplicative over tensor products, so evaluating a known
 linear combination of homomorphism counts on probe-times-target products
 yields a linear system whose unknowns are the individual counts.  Suitable
 probes always exist among blowups of the patterns themselves; this module
-finds them by seeded random size assignments, certified by an exact nonzero
-determinant, and solves the system in exact rational arithmetic.
+finds them by seeded random size assignments, certified invertible by one
+exact elimination, and solves the system in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -89,36 +89,15 @@ def digraphs_isomorphic(d1: Digraph, d2: Digraph, max_vertices: int = 8) -> bool
     return False
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant by exact Gaussian elimination with pivoting."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
-
-
-def _solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+def _solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """The exact solution of matrix * x = rhs by Gauss-Jordan elimination
+    with row swaps, or None when the matrix is singular."""
     n = len(matrix)
     m = [matrix[r][:] + [rhs[r]] for r in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
-            raise GraphError("singular recovery matrix")
+            return None
         m[col], m[pivot] = m[pivot], m[col]
         inv = Fraction(1) / m[col][col]
         m[col] = [x * inv for x in m[col]]
@@ -170,7 +149,8 @@ def build_recovery_system(
             [cs[j] * hom_count_brute(pats[j], probes[i]) for j in range(k)]
             for i in range(k)
         ]
-        if _det(matrix) != 0:
+        # only singularity matters here, so any right-hand side will do
+        if _solve(matrix, [Fraction(0)] * k) is not None:
             return RecoverySystem(
                 patterns=tuple(pats),
                 coefficients=tuple(cs),
@@ -192,6 +172,8 @@ def decompose_linear_combination(
     """
     rhs = [Fraction(combo_oracle(tensor_product(f, g))) for f in sys.probes]
     solution = _solve([list(row) for row in sys.matrix], rhs)
+    if solution is None:
+        raise GraphError("singular recovery matrix")
     result = []
     for value in solution:
         if value.denominator != 1:

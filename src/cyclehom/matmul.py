@@ -6,11 +6,10 @@ power-of-two in-degree classes; for every k-tuple of classes the cherry
 matrix restricted to consecutive classes is chained around the cycle and the
 trace of the product is accumulated.  A small exact dynamic program decides,
 per class tuple, how to bracket the chain: extend a product left or right by
-one factor, or split it into two halves, pricing a split at the cost
-model's dense exponent for omega.  Execution is always classical: every
-step is one sparse row product, so the plan's only effect is the
-bracketing.  The same recurrence, maximized over fractional degree-class
-exponents, yields the engine's cost-model exponent c_k.
+one factor, or split it into two halves, pricing a split as a classical
+(omega = 3) dense multiply.  Every step is one sparse row product.  The same
+recurrence, maximized over fractional degree-class exponents at a chosen
+omega, yields the engine's cost-model exponent c_k.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class CostParams:
     """Cost-model parameters: the matrix-multiplication exponent, which
-    prices matmul's bracketing and ``cost_model_ck`` but never picks an
-    engine (execution is always classical), and the maximization grid."""
+    prices ``cost_model_ck`` only (execution is always classical), and the
+    maximization grid."""
 
     omega: Fraction = Fraction(3)
     grid_step: Fraction = Fraction(1, 100)
@@ -137,14 +136,16 @@ def plan_matrix_chain(
     )
 
 
+# Execution is classical, so the engine brackets its chains at omega = 3.
+_CLASSICAL = CostParams()
 _PLAN_CACHE: dict[tuple, EvaluationPlan] = {}
 
 
-def _cached_plan(d: tuple[Fraction, ...], k: int, cp: CostParams) -> EvaluationPlan:
-    key = (k, d, cp.omega)
+def _cached_plan(d: tuple[Fraction, ...], k: int) -> EvaluationPlan:
+    key = (k, d)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
-        plan = plan_matrix_chain(d, k, cp)
+        plan = plan_matrix_chain(d, k, _CLASSICAL)
         _PLAN_CACHE[key] = plan
     return plan
 
@@ -255,7 +256,6 @@ def in_degree_classes(w: WeightedDigraph | WalkPair) -> dict[int, list[int]]:
 def hom_alt_cycle_matmul(
     w: WeightedDigraph | WalkPair,
     half_length: int,
-    cp: CostParams | None = None,
     ops: OpCounter | None = None,
     planner=None,
 ) -> int:
@@ -265,14 +265,14 @@ def hom_alt_cycle_matmul(
     evaluates the cyclic cherry-matrix chain in the planned bracketing,
     closing with a sparse trace of the two complementary segments.  Every
     non-base step is one sparse row product at its split point: j - 1 for
-    "right", i + 1 for "left", r for ("split", r).  ``planner`` overrides
-    the plan per class tuple (any valid plan gives the same count).
+    "right", i + 1 for "left", r for ("split", r).  Plans price a split at
+    omega = 3.  ``planner(d, k, cp)`` overrides the plan per class tuple,
+    called like ``plan_matrix_chain`` with the classical ``CostParams()``
+    (any valid plan gives the same count).
     """
     k = half_length
     if k < 2:
         raise GraphError("alternating cycle needs half-length >= 2")
-    if cp is None:
-        cp = CostParams()
     pair = as_pair(w)
     n = pair.vertex_count
     if n <= 1:
@@ -332,9 +332,9 @@ def hom_alt_cycle_matmul(
             f = tuple(prefix)
             d = tuple(Fraction(c, log2n) for c in f)
             if planner is None:
-                plan = _cached_plan(d, k, cp)
+                plan = _cached_plan(d, k)
             else:
-                plan = planner(d, k, cp)
+                plan = planner(d, k, _CLASSICAL)
             total += execute(f, plan)
             return
         options = transitions.get(prefix[-1], []) if prefix else sorted(classes)

@@ -30,7 +30,7 @@ from .graphs import (
     orient_acyclic,
     split_by_ordering,
 )
-from .matmul import CostParams, hom_alt_cycle_matmul
+from .matmul import hom_alt_cycle_matmul
 from .ops import OpCounter
 from .ring import coefficient, degree_slot_width
 from .walks import WalkPair, build_walk_weights, restrict_view
@@ -42,16 +42,14 @@ class EngineError(GraphError):
     """An internal consistency assertion failed inside a counting engine."""
 
 
-def _engine_for(p: int, cp: CostParams) -> str:
+def _engine_for(p: int) -> str:
     """The engine ``auto`` runs for the alternating 2p-cycle: comb, at
-    every p and every omega.
+    every p.
 
-    Execution is always classical, so the choice is priced at omega = 3
-    whatever ``cp.omega`` says; ``cp`` only prices matmul's bracketing.
-    At omega = 3 the cost model's c_p is at least comb's 2 - 1/ceil(p/2)
-    for p = 2..6 (c_6 = 9/5 >= 5/3), and from p = 7 on its grid is over
-    budget, so the model is never consulted.  This is the one place where
-    ``auto`` resolves.
+    At omega = 3, the classical cost every engine runs at, the cost
+    model's c_p is at least comb's 2 - 1/ceil(p/2) for p = 2..6 (c_6 = 9/5
+    >= 5/3), and from p = 7 on its grid is over budget, so the model is
+    never consulted.  This is the one place where ``auto`` resolves.
     """
     return "comb"
 
@@ -89,7 +87,6 @@ def hom_cycle_degenerate(
     g: Graph | Digraph,
     length: int,
     engine: str = "auto",
-    cp: CostParams | None = None,
     ops: OpCounter | None = None,
     cross_check: bool = False,
 ) -> int:
@@ -97,25 +94,22 @@ def hom_cycle_degenerate(
 
     ``engine`` picks how alternating-cycle counts are computed: "comb" for
     the closed-walk engine, "matmul" for the matrix-chain engine, or "auto"
-    (``_engine_for``: comb at every omega).  ``cp`` prices only matmul's
-    bracketing; execution is always classical.  ``cross_check`` recounts
-    S_1 split by split and by direct enumeration, and S_2 and S_3 by the
-    low/high closed walks (``comb._low_high``), and raises ``EngineError``
-    on any disagreement.
+    (``_engine_for``: comb).  Every engine runs classically.
+    ``cross_check`` recounts S_1 split by split and by direct enumeration,
+    and S_2 and S_3 by the low/high closed walks (``comb._low_high``), and
+    raises ``EngineError`` on any disagreement.
     """
     if length < 3:
         raise GraphError("cycle length must be >= 3")
     if engine not in ENGINES:
         raise GraphError(f"unknown engine {engine!r}")
-    if cp is None:
-        cp = CostParams()
     if g.vertex_count == 0:
         return 0
 
     pair, _ = _oriented_pair(g, length)
     total = 0
     for p in range(1, length // 2 + 1):
-        s_p = _base_count(pair, p, length, engine, cp, ops, cross_check)
+        s_p = _base_count(pair, p, length, engine, ops, cross_check)
         scaled = length * s_p
         if scaled % p:
             raise EngineError(
@@ -130,7 +124,6 @@ def _base_count(
     p: int,
     length: int,
     engine: str,
-    cp: CostParams,
     ops: OpCounter | None,
     cross_check: bool,
 ) -> int:
@@ -148,7 +141,7 @@ def _base_count(
     along = restrict_view(pair.along, max_run)
     against = along if pair.against is pair.along else restrict_view(pair.against, max_run)
     view = WalkPair(along=along, against=against)
-    result = coefficient(_run_engine(view, p, length, engine, cp, ops), length, along.width)
+    result = coefficient(_run_engine(view, p, length, engine, ops), length, along.width)
     if cross_check and p <= 3:
         walked = _low_high(view, p, None, None, length)
         if coefficient(walked, length, along.width) != result:
@@ -156,12 +149,12 @@ def _base_count(
     return result
 
 
-def _run_engine(view: WalkPair, p: int, length: int, engine: str, cp: CostParams, ops):
+def _run_engine(view: WalkPair, p: int, length: int, engine: str, ops):
     if engine == "auto":
-        engine = _engine_for(p, cp)
+        engine = _engine_for(p)
     if engine == "comb":
         return hom_alt_cycle_comb(view, p, ops=ops, length=length)
-    return hom_alt_cycle_matmul(view, p, cp=cp, ops=ops)
+    return hom_alt_cycle_matmul(view, p, ops=ops)
 
 
 def _two_path_sum(pair: WalkPair, length: int, ops: OpCounter | None) -> int:

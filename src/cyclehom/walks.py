@@ -44,9 +44,6 @@ class WeightedDigraph:
     def vertex_count(self) -> int:
         return len(self.rows)
 
-    def out_items(self, x: int) -> list[tuple[int, int]]:
-        return list(self.rows[x].items())
-
     @property
     def ring_view(self) -> dict[tuple[int, int], int]:
         """The weights keyed by (x, y)."""

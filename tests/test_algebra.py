@@ -5,6 +5,7 @@ import pytest
 
 from cyclehom.algebra import (
     BlowupSpec,
+    _solve,
     blowup,
     build_recovery_system,
     decompose_linear_combination,
@@ -172,3 +173,10 @@ def test_recovery_detects_bad_oracle():
     g = Digraph.from_arcs(3, [(0, 1), (1, 2)])
     with pytest.raises(GraphError):
         decompose_linear_combination(system, broken, g)
+
+
+def test_solve_swaps_rows_and_reports_singular_matrices():
+    f = Fraction
+    # the first pivot is 0, so the elimination must swap rows
+    assert _solve([[f(0), f(2)], [f(3), f(1)]], [f(4), f(5)]) == [f(1), f(2)]
+    assert _solve([[f(1), f(2)], [f(2), f(4)]], [f(1), f(2)]) is None

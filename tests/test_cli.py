@@ -160,9 +160,18 @@ def test_bench_counts_are_pinned(capsys):
     ]
 
 
-@pytest.mark.parametrize("min_exp, max_exp", [("-1", "2"), ("0", "-2"), ("3", "2")])
-def test_bench_exponent_errors_are_usage_errors(capsys, min_exp, max_exp):
-    argv = ["bench", "--min-exp", min_exp, "--max-exp", max_exp]
+@pytest.mark.parametrize(
+    "min_exp, max_exp, half_length",
+    [
+        pytest.param("-1", "2", "3", id="-1-2"),
+        pytest.param("0", "-2", "3", id="0--2"),
+        pytest.param("3", "2", "3", id="3-2"),
+        pytest.param("0", "21", "3", id="0-21"),
+        pytest.param("0", "2", "1", id="half-length-1"),
+    ],
+)
+def test_bench_exponent_errors_are_usage_errors(capsys, min_exp, max_exp, half_length):
+    argv = ["bench", "--min-exp", min_exp, "--max-exp", max_exp, "--half-length", half_length]
     try:
         code = main(argv)
     except SystemExit as err:
@@ -177,6 +186,14 @@ def test_usage_error_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["hom-count", "--input", "nope.txt"])  # missing --cycle
     assert err.value.code == 2
+
+
+def test_hom_count_has_no_omega_option(tmp_path, capsys):
+    path = write(tmp_path, "k3.txt", K3)
+    with pytest.raises(SystemExit) as err:
+        main(["hom-count", "--cycle", "3", "--omega", "2", "--input", path])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --omega 2" in capsys.readouterr().err
 
 
 def test_runtime_error_exit_1(tmp_path, capsys):
@@ -263,8 +280,6 @@ def test_detect_empty_thread_count_runs_serially(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["hom-count", "--cycle", "3", "--omega", "abc"],
-        ["hom-count", "--cycle", "3", "--omega", "1/0"],
         ["cost-model", "--k", "3", "--grid-step", "x"],
         ["cost-model", "--k", "3", "--grid-step", "0"],
         ["detect", "--k", "3", "--delta", "0"],
