@@ -153,14 +153,21 @@ def test_auto_picks_comb_when_the_cost_grid_is_over_budget():
         cost_model_ck(7, CostParams(omega=Fraction(2), grid_step=Fraction(1, 20)))
 
 
-def test_auto_is_comb_at_every_omega_without_the_cost_model(monkeypatch):
-    # execution is always classical, so auto prices engines at omega = 3
+@pytest.mark.parametrize("omega", [Fraction(2), Fraction(5, 2), Fraction(3)])
+def test_auto_is_comb_at_every_omega_without_the_cost_model(monkeypatch, omega):
+    # execution is always classical, so auto prices engines at omega = 3,
+    # and a matmul engine bracketing its chains at omega counts the same
     def no_model(*args, **kwargs):
         raise AssertionError("auto must not run the cost model")
 
     monkeypatch.setattr(cyclehom.matmul, "_vector_objective", no_model)
     for p in range(2, 9):
         assert _engine_for(p) == "comb"
+    monkeypatch.setattr(cyclehom.matmul, "_CLASSICAL", CostParams(omega=omega))
+    monkeypatch.setattr(cyclehom.matmul, "_PLAN_CACHE", {})
+    g = random_graph(random.Random(11), 30, 0.12)
+    for ell in (6, 8):
+        assert hom_cycle_degenerate(g, ell, engine="matmul") == hom_cycle_degenerate(g, ell)
 
 
 def test_counting_at_omega_2_leaves_numpy_out():
