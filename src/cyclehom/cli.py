@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
 from fractions import Fraction
 
 from .comb import hom_alt_cycle_comb
-from .detect import EXHAUSTIVE_BELOW_K, detect_cycle_degenerate, detect_directed_cycle
-from .general import detect_cycle_general_directed, hom_cycle_general, repetitions
+from .detect import detect_cycle_degenerate, detect_directed_cycle
+from .general import detect_cycle_general_directed, hom_cycle_general
 from .graphs import Digraph, Graph, GraphError, degeneracy_ordering, parse_graph
 from .matmul import CostParams, cost_model_ck
 from .algebra import build_recovery_system, decompose_linear_combination
@@ -25,8 +24,6 @@ from .oracle import hom_count_brute, trace_power
 from .ops import OpCounter
 from .pipeline import hom_cycle_degenerate
 from .walks import build_walk_weights
-
-THREADS_ENV = "CYCLEHOM_THREADS"
 
 
 def _read_graph(path: str, directed: bool) -> Graph | Digraph:
@@ -82,27 +79,10 @@ def _cmd_hom_count(args) -> int:
     return 0
 
 
-def _thread_count() -> int | None:
-    """Worker processes from the environment (1 when unset or empty), or
-    None after reporting a value that is not a positive integer."""
-    raw = os.environ.get(THREADS_ENV) or "1"
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers >= 1:
-        return workers
-    print(f"error: {THREADS_ENV} must be a positive integer, not {raw!r}", file=sys.stderr)
-    return None
-
-
 def _cmd_detect(args) -> int:
     if args.general and (args.degenerate or not args.directed):
         print("error: --general runs the layered detector, which needs --directed "
               "and excludes --degenerate", file=sys.stderr)
-        return 2
-    workers = _thread_count()
-    if workers is None:
         return 2
     if args.general:
         detector = detect_cycle_general_directed
@@ -112,48 +92,18 @@ def _cmd_detect(args) -> int:
         detector = detect_cycle_degenerate
     g = _read_graph(args.input, args.directed)
     seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
-    # Below EXHAUSTIVE_BELOW_K the degenerate detector ignores reps and
-    # seed, so one call answers for every worker.
-    exhaustive = detector is detect_cycle_degenerate and args.k < EXHAUSTIVE_BELOW_K
     started = time.perf_counter()
-    found = _maybe_parallel_detect(detector, g, args, seed, 1 if exhaustive else workers)
+    found = detector(g, args.k, reps=args.reps, seed=seed, delta=args.delta)
     elapsed = (time.perf_counter() - started) * 1000.0
     report = {
         "found": found,
         "k": args.k,
         "seed": seed,
         "elapsed_ms": round(elapsed, 3),
-        "workers": workers,
         **_graph_stats(g),
     }
     _emit(report)
     return 0
-
-
-def _maybe_parallel_detect(fn, target, args, seed: int, workers: int) -> bool:
-    reps = repetitions(args.k, args.reps, args.delta)
-    if workers <= 1:
-        return fn(target, args.k, reps=reps, seed=seed, delta=args.delta)
-    import concurrent.futures
-
-    chunk = (reps + workers - 1) // workers
-    jobs = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for w in range(workers):
-            share = min(chunk, reps - w * chunk)
-            if share <= 0:
-                break
-            jobs.append(
-                pool.submit(fn, target, args.k, reps=share, seed=seed + w, delta=args.delta)
-            )
-        found = False
-        for job in concurrent.futures.as_completed(jobs):
-            if job.result():
-                found = True
-                for other in jobs:
-                    other.cancel()
-                break
-    return found
 
 
 def _cmd_degeneracy(args) -> int:
@@ -274,7 +224,6 @@ def _arg_type(convert, accept, expected: str):
     return parse
 
 
-_FRACTION = _arg_type(Fraction, lambda v: True, "a fraction such as 5/2")
 _POSITIVE_FRACTION = _arg_type(Fraction, lambda v: v > 0, "a positive fraction such as 1/100")
 _PROBABILITY = _arg_type(float, lambda v: 0 < v < 1, "a number strictly between 0 and 1")
 _AT_LEAST_ONE = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
@@ -282,6 +231,8 @@ _NONNEGATIVE = _arg_type(int, lambda v: v >= 0, "an integer >= 0")
 # bench builds a 2**exp-vertex DAG: exponent 20 takes about 45 s and 1.4 GB on 2 cores
 _BENCH_EXPONENT = _arg_type(int, lambda v: 0 <= v <= 20, "an integer from 0 to 20")
 _HALF_LENGTH = _arg_type(int, lambda v: v >= 2, "an integer >= 2")
+_CYCLE_LENGTH = _arg_type(int, lambda v: v >= 3, "an integer >= 3")
+_OMEGA = _arg_type(Fraction, lambda v: 2 <= v <= 3, "a fraction from 2 to 3")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hom-count", help="count cycle homomorphisms")
-    p.add_argument("--cycle", type=int, required=True, help="cycle length")
+    p.add_argument("--cycle", type=_CYCLE_LENGTH, required=True, help="cycle length")
     p.add_argument("--input", required=True, help="edge-list file, or - for stdin")
     p.add_argument("--directed", action="store_true")
     p.add_argument("--general", action="store_true", help="no-degeneracy engine")
@@ -303,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hom_count)
 
     p = sub.add_parser("detect", help="detect a simple k-cycle")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_CYCLE_LENGTH, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--directed", action="store_true")
     p.add_argument("--general", action="store_true", help="layered-partition detector")
@@ -318,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_degeneracy)
 
     p = sub.add_parser("cost-model", help="matrix-chain cost-model exponent c_k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--omega", type=_FRACTION, default="2")
+    p.add_argument("--k", type=_HALF_LENGTH, required=True)
+    p.add_argument("--omega", type=_OMEGA, default="2")
     p.add_argument("--grid-step", type=_POSITIVE_FRACTION, default="1/100")
     p.set_defaults(func=_cmd_cost_model)
 

@@ -220,15 +220,29 @@ def test_stdin_input(capsys, monkeypatch):
     assert report["count"] == "6"
 
 
-def test_detect_worker_processes(tmp_path, capsys, monkeypatch):
+DETECT_KEYS = {"found", "k", "seed", "elapsed_ms", "n", "m", "degeneracy"}
+
+
+# Seeds on which splitting the repetitions over two worker processes, each
+# drawing from seed + w, used to change the answer on a directed 4-cycle.
+@pytest.mark.parametrize("seed", [6, 7, 22, 24, 30, 38])
+def test_detect_answer_is_fixed_by_the_seed(tmp_path, capsys, monkeypatch, seed):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    path = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")
+    argv = ["detect", "--directed", "--general", "--k", "4", "--reps", "8",
+            "--seed", str(seed), "--input", path]
+    monkeypatch.delenv("CYCLEHOM_THREADS", raising=False)
+    code, serial = run_cli(capsys, argv)
+    assert code == 0 and set(serial) == DETECT_KEYS
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("CYCLEHOM_THREADS", "2")
-    path = write(tmp_path, "tri.txt", "0 1\n1 2\n2 0\n")
-    code, report = run_cli(
-        capsys, ["detect", "--k", "3", "--directed", "--input", path, "--seed", "9"]
-    )
-    assert code == 0
-    assert report["found"] is True
-    assert report["workers"] == 2
+    code, report = run_cli(capsys, argv)
+    assert code == 0 and set(report) == DETECT_KEYS
+    assert report["found"] == serial["found"]
 
 
 def test_cli_import_leaves_numpy_out():
@@ -248,35 +262,6 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("value", ["two", "-1", "0", "1.5"])
-def test_detect_rejects_malformed_thread_count(tmp_path, capsys, monkeypatch, value):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setenv("CYCLEHOM_THREADS", value)
-    path = write(tmp_path, "tri.txt", "0 1\n1 2\n2 0\n")
-    code = main(["detect", "--k", "3", "--directed", "--input", path, "--seed", "9"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "CYCLEHOM_THREADS" in lines[0]
-
-
-def test_detect_empty_thread_count_runs_serially(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CYCLEHOM_THREADS", "")
-    path = write(tmp_path, "tri.txt", "0 1\n1 2\n2 0\n")
-    code, report = run_cli(
-        capsys, ["detect", "--k", "3", "--directed", "--input", path, "--seed", "9"]
-    )
-    assert code == 0
-    assert report["found"] is True
-    assert report["workers"] == 1
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -288,6 +273,11 @@ def test_detect_empty_thread_count_runs_serially(tmp_path, capsys, monkeypatch):
         ["detect", "--k", "3", "--reps", "0"],
         ["detect", "--k", "3", "--reps", "-3"],
         ["detect", "--k", "3", "--reps", "2.5"],
+        ["hom-count", "--cycle", "2"],
+        ["detect", "--k", "2"],
+        ["cost-model", "--k", "1"],
+        ["cost-model", "--k", "3", "--omega", "-5"],
+        ["cost-model", "--k", "3", "--omega", "7/2"],
     ],
 )
 def test_malformed_numeric_options_are_usage_errors(tmp_path, capsys, argv):
@@ -382,8 +372,8 @@ def test_missing_input_leaves_no_traceback(tmp_path):
 
 
 def test_exhaustive_degenerate_detect_runs_once_with_workers(tmp_path, capsys, monkeypatch):
-    # Below EXHAUSTIVE_BELOW_K the degenerate detector ignores reps and seed,
-    # so two workers would repeat the same search.
+    # Below EXHAUSTIVE_BELOW_K the degenerate detector ignores reps and seed
+    # and searches once; CYCLEHOM_THREADS is ignored.
     import concurrent.futures
 
     import cyclehom.detect as detect
